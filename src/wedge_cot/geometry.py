@@ -141,7 +141,6 @@ class Approach:
     """
 
     reflections: int
-    point: Point
     signed_miss: float
     path_length: float
     direction: Vector
@@ -152,7 +151,7 @@ class Approach:
 
     @property
     def direction_azimuth(self) -> float:
-        return math.atan2(self.direction[1], self.direction[0]) % TWO_PI
+        return wrap_angle(math.atan2(self.direction[1], self.direction[0]))
 
 
 @dataclass(frozen=True)
@@ -165,6 +164,12 @@ class RayPath:
     approaches: tuple[Approach, ...] = field(default=())
     final_direction: Vector = (1.0, 0.0)
     escaped: bool = False
+
+
+def wrap_angle(phi: float) -> float:
+    """phi reduced to [0, 2*pi); % alone rounds tiny negatives up to 2*pi."""
+    phi %= TWO_PI
+    return 0.0 if phi == TWO_PI else phi
 
 
 def validate_beta(wedge: WedgeGeometry, ion: IonPosition, beta_min: float = 0.0):
@@ -303,7 +308,7 @@ def trace(
             if t_foot > t_min:
                 end = (p[0] + t_foot * d[0], p[1] + t_foot * d[1])
                 if m >= 1:
-                    approaches.append(Approach(m, end, miss, total + t_foot, d))
+                    approaches.append(Approach(m, miss, total + t_foot, d))
                 segments.append((p, end))
                 total += t_foot
             escaped = True
@@ -318,8 +323,7 @@ def trace(
 
         interior_foot = t_min < t_foot < t_hit
         if m >= 1 and interior_foot:
-            foot = (p[0] + t_foot * d[0], p[1] + t_foot * d[1])
-            approaches.append(Approach(m, foot, miss, total + t_foot, d))
+            approaches.append(Approach(m, miss, total + t_foot, d))
 
         if m == max_reflections:
             # Reflection budget exhausted: end at the return point if there

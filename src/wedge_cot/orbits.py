@@ -6,6 +6,8 @@ orbits leave at phi_out = (j+1)pi/(2N), retrace themselves, and return
 antiparallel; even-j orbits leave at phi_out = j pi/(2N) + beta and pair up
 with their time-reversed partners j <-> 2N-j.  Every orbit has length
 L = 2 rho |sin(phi_out - beta)| and bounces m = min(j, 2N-j) times.
+``exact_catalog`` keeps these angles as exact Fractions of pi; the float
+``enumerate_analytic`` rounds each p pi/(2N) once, by the int division p/2N.
 
 For arbitrary opening angles the catalog is found by shooting: scan launch
 azimuths across the interior fan, record the signed miss distance at each
@@ -32,6 +34,7 @@ from .geometry import (
     WedgeGeometry,
     ion_cartesian,
     trace,
+    wrap_angle,
 )
 
 log = logging.getLogger(__name__)
@@ -81,20 +84,15 @@ class ExactOrbit:
     chord_over_pi: Fraction
 
     def to_closed_orbit(self, rho: float) -> ClosedOrbit:
+        # Folding q into [0, 1/2] before rounding gives partners equal length bits.
+        q = self.chord_over_pi % 1
         return ClosedOrbit(
             index=self.index,
             phi_out=float(self.phi_out_over_pi) * math.pi,
             phi_ret=float(self.phi_ret_over_pi) * math.pi,
             m=self.m,
-            length=2.0 * rho * abs(math.sin(_folded_sine_arg(self.chord_over_pi))),
+            length=2.0 * rho * abs(math.sin(float(min(q, 1 - q)) * math.pi)),
         )
-
-
-def _folded_sine_arg(chord_over_pi: Fraction) -> float:
-    # |sin(q pi)| = |sin((1 - q) pi)| exactly; folding q into [0, 1/2] before
-    # rounding makes time-reversed partner orbits equal in length bit for bit.
-    q = Fraction(chord_over_pi) % 1
-    return float(min(q, 1 - q)) * math.pi
 
 
 def _validate_n(n: int):
@@ -137,23 +135,22 @@ def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
         raise BetaRangeError(
             f"beta={ion.beta!r} outside (0, {alpha!r}) for a pi/{n} wedge"
         )
+    two_n = 2 * n  # every angle is a multiple of pi/(2N), plus beta for even j
     orbits = []
-    for j in range(1, 2 * n):
-        m = j if j <= n else 2 * n - j
+    for j in range(1, two_n):
+        m = min(j, two_n - j)
         if j % 2:
-            out_over_pi = Fraction(j + 1, 2 * n)
-            phi_out = float(out_over_pi) * math.pi
-            phi_ret = float((out_over_pi + 1) % 2) * math.pi
+            phi_out = (j + 1) / two_n * math.pi
+            phi_ret = ((j + 1 + two_n) % (2 * two_n)) / two_n * math.pi
             # sin argument lies in (0, pi): the |.| is a formality.
             chord = 2.0 * ion.rho * abs(math.sin(phi_out - ion.beta))
         else:
-            base = Fraction(j, 2 * n)
-            phi_out = float(base) * math.pi + ion.beta
+            phi_out = j / two_n * math.pi + ion.beta
             # Returning momentum of the time-reversed partner, plus pi;
             # stays below 2*pi because beta < pi/N.
-            phi_ret = float(Fraction(2 * n - j, 2 * n) + 1) * math.pi + ion.beta
-            # beta cancels in phi_out - beta; use the exact folded form.
-            chord = 2.0 * ion.rho * abs(math.sin(_folded_sine_arg(base)))
+            phi_ret = (2 * two_n - j) / two_n * math.pi + ion.beta
+            # beta cancels; m pi/(2N) gives partners j <-> 2N-j equal length bits.
+            chord = 2.0 * ion.rho * abs(math.sin(m / two_n * math.pi))
         orbits.append(ClosedOrbit(j, phi_out, phi_ret % TWO_PI, m, chord))
     return orbits
 
@@ -247,10 +244,9 @@ def find_numeric(
                 if found is not None and found[1].distance <= return_radius:
                     roots.append(found)
 
-    roots.sort(key=lambda r: r[0] % TWO_PI)
+    roots = sorted(((wrap_angle(phi), app) for phi, app in roots), key=lambda r: r[0])
     orbits: list[ClosedOrbit] = []
     for phi, app in roots:
-        phi = phi % TWO_PI
         if orbits:
             last = orbits[-1]
             gap = abs(phi - last.phi_out)

@@ -16,6 +16,8 @@ from wedge_cot.errors import (
 from wedge_cot.geometry import (
     LEFT,
     RIGHT,
+    TWO_PI,
+    Approach,
     IonPosition,
     Ray,
     WedgeGeometry,
@@ -24,7 +26,9 @@ from wedge_cot.geometry import (
     reflect,
     surface_distances,
     trace,
+    wrap_angle,
 )
+from wedge_cot.orbits import ClosedOrbit
 
 TABLE_WEDGE = WedgeGeometry.from_n(5)
 TABLE_ION = IonPosition(200.0, math.pi / 15)
@@ -32,6 +36,24 @@ TABLE_ION = IonPosition(200.0, math.pi / 15)
 
 def azimuth(vec):
     return math.atan2(vec[1], vec[0]) % (2.0 * math.pi)
+
+
+# ------------------------------------------------------------ angle wrap
+
+def test_wrap_angle_stays_below_two_pi():
+    # A tiny negative angle rounds up to exactly 2*pi under a bare %.
+    assert -1e-17 % TWO_PI == TWO_PI
+    assert wrap_angle(-1e-17) == 0.0
+    assert wrap_angle(TWO_PI) == 0.0
+    assert wrap_angle(-math.pi) == math.pi
+    assert wrap_angle(7.0) == 7.0 - TWO_PI
+
+
+def test_direction_azimuth_of_tiny_negative_angle_is_a_valid_return_angle():
+    app = Approach(1, 0.0, 1.0, (1.0, -1e-17))
+    assert app.direction_azimuth == 0.0
+    orbit = ClosedOrbit(1, math.pi, app.direction_azimuth, 1, 1.0)
+    assert orbit.phi_ret == 0.0
 
 
 # ---------------------------------------------------------------- placement

@@ -1,0 +1,55 @@
+"""Golden digests: the SHA-256 of stdout for fixed CLI commands.
+
+Reruns of one build are checked for byte identity elsewhere; these digests
+pin the bytes across code changes too.  A digest changes only when the
+output does, so a change that is meant to keep the analytic numbers must
+keep every digest here.
+"""
+
+import hashlib
+
+import pytest
+
+from wedge_cot.cli import main
+
+GOLDEN = {
+    "orbits":
+        "c7d40c85cc5373c3a89be2c0e74c215b33f46ec0c83640ed0739e58d526726a2",
+    "orbits --beta 0.2":
+        "d7a44e824134dc860f894feaec9d52f0348bd61a15ed3332988e761015dc96a0",
+    "spectrum --format csv":
+        "2713425845768a1b98630933b7dcf4bd6ff3dfa415be52248934d41d6205769e",
+    "spectrum --format json":
+        "f2240478c66ce9d17d3bb804e7c3d7221c89ee3575a524fc2ad9c2b05b61215b",
+    "decompose --format csv":
+        "2c1a4b35a663e0973e169e178558e2af117257bc2d9b512094cbc1f2b595af0a",
+    "decompose --format json":
+        "fa8531d9542df8285d3fa8a634f4d6a5f7225f3089592363796c1316819bab51",
+    "sweep-rho --format csv":
+        "4b7a405014d21ddaece7448294ddc620628b0201b14596f6306f1e804937a6f2",
+    "sweep-rho --format json":
+        "21fa3963bb81edc4dd6b8ee6f148a1e4051d672d1f7ae912804ed2c0ac7b414d",
+    "sweep-beta --format csv":
+        "fc993ccdf3a99a5c8b2a4461f99eae00926ff94d41d8aad149cb1b799880ab88",
+    "sweep-beta --format json":
+        "6cc7d8be7b1500fa5b1a864d3d7b4199c2032e7336c21ae53848183cc65b19cf",
+    "polmap --format csv":
+        "3f677723313248364a30e2ee7005be1d99d5f7b6c2ca0086ffbb378f56af1dfb",
+    "polmap --format json":
+        "394666b31847563b49aa191e8b87998d17f7725b7a006258f1addf9946b14ec4",
+    "orbits --orbit-source numeric":
+        "b4f68156a27147295c0788d789e77f5c2c7b8b2dfd5eb5c17d147eb3d6dfd391",
+    "sweep-rho --orbit-source numeric --steps 16 --format csv":
+        "1360065ee53655f556c22efd0ec8f007521b109bcc21e131c097ecbe193fd68f",
+}
+
+
+def _stdout_digest(argv, capsys) -> str:
+    capsys.readouterr()
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_cli_stdout_digest(command, capsys):
+    assert _stdout_digest(command.split(), capsys) == GOLDEN[command]

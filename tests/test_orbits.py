@@ -5,12 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wedge_cot.errors import ApexSingularityError, BetaRangeError, ValidationError
-from wedge_cot.geometry import IonPosition, WedgeGeometry, ion_cartesian, trace
+from wedge_cot.errors import (
+    ApexSingularityError,
+    BetaRangeError,
+    ValidationError,
+    WedgeCotError,
+    ZeroLengthOrbitError,
+)
+from wedge_cot.geometry import TWO_PI, IonPosition, WedgeGeometry, ion_cartesian, trace
 from wedge_cot.orbits import (
+    ClosedOrbit,
     OrbitSearchConfig,
     default_search_config,
     enumerate_analytic,
@@ -34,6 +41,23 @@ REFERENCE_ROWS = [
 ]
 
 BETA_FRACTIONS = (0.1, 1 / 3, 0.5, 2 / 3, 0.9)
+
+
+@st.composite
+def pi_over_n_ions(draw):
+    """(N, ion) with N in [1, 200], rho in [1e-3, 1e8] and beta strictly
+    inside (0, pi/N), boundary neighbours included."""
+    n = draw(st.integers(1, 200))
+    rho = draw(st.floats(1e-3, 1e8))
+    beta = draw(st.floats(0.0, math.pi / n, exclude_min=True, exclude_max=True))
+    return n, IonPosition(rho, beta)
+
+
+def buildable(n, ion):
+    # Where (1/N) pi rounds to beta itself (beta one ulp below pi/N for some
+    # N), the j = 1 chord sin(phi_out - beta) is exactly 0 and the catalog
+    # raises ZeroLengthOrbitError; the oracle tests pin that outcome.
+    return 1 / n * math.pi != ion.beta
 
 
 # ------------------------------------------------------------ exact catalog
@@ -132,6 +156,29 @@ def test_catalog_structure_properties(n, beta_frac):
         )
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=pi_over_n_ions())
+def test_catalog_count_retracing_and_lengths_over_full_domain(case):
+    """The 2N-1 count law, bounce counts, odd-orbit retracing and the length
+    formula hold for N up to 200, any rho and beta anywhere inside (0, pi/N)."""
+    n, ion = case
+    assume(buildable(n, ion))
+    rho, beta = ion.rho, ion.beta
+    orbits = enumerate_analytic(n, ion)
+    assert [o.index for o in orbits] == list(range(1, 2 * n))
+    for o in orbits:
+        assert o.m == min(o.index, 2 * n - o.index)
+        if o.index % 2:
+            np.testing.assert_allclose(
+                o.phi_ret, (o.phi_out + math.pi) % (2 * math.pi),
+                rtol=0, atol=1e-12,
+            )
+        np.testing.assert_allclose(
+            o.length, 2.0 * rho * abs(math.sin(o.phi_out - beta)),
+            rtol=1e-11,
+        )
+
+
 def test_time_reversed_pairs_share_length_bits():
     orbits = enumerate_analytic(5, IonPosition(200.0, math.pi / 15))
     by_index = {o.index: o for o in orbits}
@@ -174,6 +221,80 @@ def test_geometric_consistency_against_ray_tracing():
             ret = path.approaches[-1].direction_azimuth
             gap = abs(ret - orbit.phi_ret) % (2 * math.pi)
             assert min(gap, 2 * math.pi - gap) <= 1e-9
+
+
+# ------------------------------------- float catalog against a Fraction oracle
+
+def fraction_oracle(n, ion):
+    """The float catalog built orbit by orbit from exact Fraction angles:
+    each multiple of pi is rounded once by float(Fraction), then combined
+    with beta and rho in the same float operations as the catalog."""
+    orbits = []
+    for j in range(1, 2 * n):
+        m = j if j <= n else 2 * n - j
+        if j % 2:
+            out_over_pi = Fraction(j + 1, 2 * n)
+            phi_out = float(out_over_pi) * math.pi
+            phi_ret = float((out_over_pi + 1) % 2) * math.pi
+            chord = 2.0 * ion.rho * abs(math.sin(phi_out - ion.beta))
+        else:
+            q = Fraction(j, 2 * n)
+            phi_out = float(q) * math.pi + ion.beta
+            phi_ret = float(Fraction(2 * n - j, 2 * n) + 1) * math.pi + ion.beta
+            chord = 2.0 * ion.rho * abs(math.sin(float(min(q, 1 - q)) * math.pi))
+        orbits.append(ClosedOrbit(j, phi_out, phi_ret % TWO_PI, m, chord))
+    return orbits
+
+
+def bits(orbits):
+    return [
+        (o.index, o.phi_out.hex(), o.phi_ret.hex(), o.m, o.length.hex())
+        for o in orbits
+    ]
+
+
+def outcome(build, n, ion):
+    try:
+        return bits(build(n, ion))
+    except WedgeCotError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pi_over_n_ions())
+def test_enumerate_analytic_equals_fraction_oracle_bit_for_bit(case):
+    n, ion = case
+    assert outcome(enumerate_analytic, n, ion) == outcome(fraction_oracle, n, ion)
+
+
+def test_fraction_oracle_agrees_at_the_zero_chord_edge():
+    n = 21
+    ion = IonPosition(1.0, math.nextafter(math.pi / n, 0.0))
+    assert not buildable(n, ion)
+    assert outcome(enumerate_analytic, n, ion) is ZeroLengthOrbitError
+    assert outcome(fraction_oracle, n, ion) is ZeroLengthOrbitError
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pi_over_n_ions())
+def test_rho_rescaling_keeps_angles_and_scales_lengths_exactly(case):
+    n, ion = case
+    assume(buildable(n, ion))
+    scaled = enumerate_analytic(n, ion)
+    unit = enumerate_analytic(n, IonPosition(1.0, ion.beta))
+    for got, ref in zip(scaled, unit, strict=True):
+        assert (got.phi_out, got.phi_ret, got.m) == (ref.phi_out, ref.phi_ret, ref.m)
+        assert got.length == ion.rho * ref.length
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pi_over_n_ions())
+def test_time_reversed_partners_share_length_bits(case):
+    n, ion = case
+    assume(buildable(n, ion))
+    orbits = enumerate_analytic(n, ion)
+    for j in range(2, 2 * n, 2):
+        assert orbits[j - 1].length == orbits[2 * n - j - 1].length
 
 
 # ---------------------------------------------------------- shooting search
