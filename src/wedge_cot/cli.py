@@ -181,120 +181,68 @@ def _with_cli_meta(dataset, args, command: str):
 
 
 def _cmd_orbits(args) -> int:
-    from .orbits import (
-        OrbitSearchConfig,
-        default_search_config,
-        enumerate_analytic,
-        exact_catalog,
-        find_numeric,
-    )
+    from .orbits import exact_catalog
+    from .spectrum import orbit_catalog
 
     wedge = _resolve_wedge(args)
     ion, beta_frac = _resolve_ion(args)
     print("label phi_out phi_ret m length length_a0")
-
-    if args.orbit_source == "numeric":
-        if args.max_reflections is not None:
-            cfg = OrbitSearchConfig(max_reflections=args.max_reflections)
-        else:
-            cfg = default_search_config(wedge)
-        for orbit in find_numeric(wedge, ion, cfg):
-            print(
-                f"{orbit.index} {orbit.phi_out:.17g} {orbit.phi_ret:.17g} "
-                f"{orbit.m} - {orbit.length:.17g}"
-            )
-        return 0
-
-    if wedge.n_integer is None:
-        raise ValidationError(
-            "the analytic catalog needs an opening angle pi/N; "
-            "pass --orbit-source numeric for this wedge"
-        )
-    n = wedge.n_integer
-    if beta_frac is not None:
-        for row in exact_catalog(n, beta_frac):
+    if args.orbit_source == "analytic" and beta_frac is not None and wedge.n_integer:
+        # beta given as a fraction of pi: the table keeps its angles exact.
+        for row in exact_catalog(wedge.n_integer, beta_frac):
             chord = f"2*rho*|sin({format_pi_fraction(row.chord_over_pi)})|"
             print(
                 f"{row.index} {format_pi_fraction(row.phi_out_over_pi)} "
                 f"{format_pi_fraction(row.phi_ret_over_pi)} {row.m} "
                 f"{chord} {row.to_closed_orbit(ion.rho).length:.17g}"
             )
-    else:
-        for orbit in enumerate_analytic(n, ion):
-            print(
-                f"{orbit.index} {orbit.phi_out:.17g} {orbit.phi_ret:.17g} "
-                f"{orbit.m} - {orbit.length:.17g}"
-            )
+        return 0
+    for orbit in orbit_catalog(wedge, ion, args.orbit_source, args.max_reflections):
+        print(
+            f"{orbit.index} {orbit.phi_out:.17g} {orbit.phi_ret:.17g} "
+            f"{orbit.m} - {orbit.length:.17g}"
+        )
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    from .sweeps import energy_sweep
-
-    dataset = energy_sweep(
-        args.e_min, args.e_max, args.steps,
-        _resolve_wedge(args), _resolve_ion(args)[0],
-        parse_polarization(args.pol), parse_delta(args.delta),
-        orbit_source=args.orbit_source, consts=_resolve_constants(args),
-    )
-    serialize(_with_cli_meta(dataset, args, "spectrum"), args.format, args.output)
-    return 0
-
-
-def _cmd_decompose(args) -> int:
-    from .sweeps import orbit_decomposition
-
-    dataset = orbit_decomposition(
-        args.e_min, args.e_max, args.steps,
-        _resolve_wedge(args), _resolve_ion(args)[0],
-        parse_polarization(args.pol), parse_delta(args.delta),
-        orbit_source=args.orbit_source, consts=_resolve_constants(args),
-    )
-    serialize(_with_cli_meta(dataset, args, "decompose"), args.format, args.output)
-    return 0
-
-
-def _cmd_sweep_rho(args) -> int:
-    from .sweeps import position_sweep
-
-    dataset = position_sweep(
-        "rho", args.rho_min, args.rho_max, args.steps, args.e_photon,
-        _resolve_wedge(args), _resolve_ion(args)[0],
-        parse_polarization(args.pol), parse_delta(args.delta),
-        orbit_source=args.orbit_source, consts=_resolve_constants(args),
-    )
-    serialize(_with_cli_meta(dataset, args, "sweep-rho"), args.format, args.output)
-    return 0
-
-
-def _cmd_sweep_beta(args) -> int:
-    from .sweeps import position_sweep
-
-    wedge = _resolve_wedge(args)
+def _beta_grid(args, wedge):
     start = parse_angle(args.beta_min)[0] if args.beta_min else BETA_MIN
     stop = (
         parse_angle(args.beta_max)[0] if args.beta_max
         else wedge.opening_angle - BETA_MIN
     )
-    dataset = position_sweep(
-        "beta", start, stop, args.steps, args.e_photon,
-        wedge, _resolve_ion(args)[0],
-        parse_polarization(args.pol), parse_delta(args.delta),
+    return "beta", start, stop, args.steps, args.e_photon
+
+
+#: Dataset subcommands: the name of the ``sweeps`` generator each one runs,
+#: looked up on the module when it runs (``sweeps`` imports numpy, which
+#: ``orbits`` does without), and the grid arguments that come before the
+#: wedge and the ion.
+_DATASETS = {
+    "spectrum": ("energy_sweep", lambda a, w: (a.e_min, a.e_max, a.steps)),
+    "decompose": ("orbit_decomposition", lambda a, w: (a.e_min, a.e_max, a.steps)),
+    "sweep-rho": ("position_sweep",
+                  lambda a, w: ("rho", a.rho_min, a.rho_max, a.steps, a.e_photon)),
+    "sweep-beta": ("position_sweep", _beta_grid),
+    "polmap": ("polarization_map",
+               lambda a, w: (a.theta_steps, a.phi_steps, a.e_photon)),
+}
+
+
+def _cmd_dataset(args) -> int:
+    from . import sweeps
+
+    name, grid = _DATASETS[args.command]
+    wedge = _resolve_wedge(args)
+    grid_args = grid(args, wedge)
+    ion = _resolve_ion(args)[0]
+    # polmap sweeps the polarization itself and has no --pol.
+    pol = (parse_polarization(args.pol),) if "pol" in vars(args) else ()
+    dataset = getattr(sweeps, name)(
+        *grid_args, wedge, ion, *pol, parse_delta(args.delta),
         orbit_source=args.orbit_source, consts=_resolve_constants(args),
     )
-    serialize(_with_cli_meta(dataset, args, "sweep-beta"), args.format, args.output)
-    return 0
-
-
-def _cmd_polmap(args) -> int:
-    from .sweeps import polarization_map
-
-    dataset = polarization_map(
-        args.theta_steps, args.phi_steps, args.e_photon,
-        _resolve_wedge(args), _resolve_ion(args)[0], parse_delta(args.delta),
-        orbit_source=args.orbit_source, consts=_resolve_constants(args),
-    )
-    serialize(_with_cli_meta(dataset, args, "polmap"), args.format, args.output)
+    serialize(_with_cli_meta(dataset, args, args.command), args.format, args.output)
     return 0
 
 
@@ -405,10 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search budget for the numeric catalog")
     p.set_defaults(func=_cmd_orbits)
 
-    for name, func, extras in (
-        ("spectrum", _cmd_spectrum, "energy"),
-        ("decompose", _cmd_decompose, "energy"),
-    ):
+    for name in ("spectrum", "decompose"):
         p = sub.add_parser(name, parents=[wedge, phys, consts, out],
                            help=f"{name} over a photon-energy grid")
         p.add_argument("--e-min", type=float, default=0.76,
@@ -416,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--e-max", type=float, default=1.4,
                        help="grid stop, eV (default 1.4)")
         p.add_argument("--steps", type=int, default=2048)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser("sweep-rho", parents=[wedge, phys, consts, out],
                        help="cross section vs ion distance")
@@ -425,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=2048)
     p.add_argument("--e-photon", type=float, default=1.0,
                    help="fixed photon energy, eV (default 1.0)")
-    p.set_defaults(func=_cmd_sweep_rho)
+    p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser("sweep-beta", parents=[wedge, phys, consts, out],
                        help="cross section vs ion declination")
@@ -433,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", help="grid stop (default the guard band edge)")
     p.add_argument("--steps", type=int, default=2048)
     p.add_argument("--e-photon", type=float, default=1.0)
-    p.set_defaults(func=_cmd_sweep_beta)
+    p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser("polmap", parents=[wedge, consts, out],
                        help="sigma_osc over polarization directions")
@@ -443,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-steps", type=int, default=33)
     p.add_argument("--phi-steps", type=int, default=32)
     p.add_argument("--e-photon", type=float, default=1.0)
-    p.set_defaults(func=_cmd_polmap)
+    p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser("verify", parents=[consts],
                        help="run the quadrature oracle checks")

@@ -116,22 +116,6 @@ class IonPosition:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """A point and a unit direction on the cross-sectional plane."""
-
-    origin: Point
-    direction: Vector
-
-    def __post_init__(self):
-        if abs(math.hypot(*self.direction) - 1.0) > 1e-14:
-            raise ValidationError("ray direction must be a unit vector")
-
-    @classmethod
-    def from_azimuth(cls, origin: Point, phi: float) -> "Ray":
-        return cls(origin, (math.cos(phi), math.sin(phi)))
-
-
-@dataclass(frozen=True)
 class Approach:
     """Closest approach of a traced trajectory to its start point.
 

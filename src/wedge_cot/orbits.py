@@ -130,7 +130,9 @@ def exact_catalog(n: int, beta_over_pi: Fraction) -> list[ExactOrbit]:
 def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
     """Analytic catalog for a pi/N wedge: 2N-1 orbits in ascending phi_out."""
     _validate_n(n)
-    alpha = math.pi / n
+    # The j = 1 launch (1/N) pi can round below pi/N; beta must stay under
+    # it too, or the j = 1 chord is zero.
+    alpha = min(math.pi / n, 1 / n * math.pi)
     if not (0.0 < ion.beta < alpha):
         raise BetaRangeError(
             f"beta={ion.beta!r} outside (0, {alpha!r}) for a pi/{n} wedge"
@@ -155,33 +157,24 @@ def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
     return orbits
 
 
+#: Shooting-search resolution: launch samples per allowed reflection, the
+#: return radius as a fraction of rho, the bisection tolerance on the launch
+#: azimuth, and the azimuth within which two roots count as one orbit.
+SCAN_SAMPLES_PER_REFLECTION = 720
+RETURN_RADIUS = 1e-6
+ANGLE_TOLERANCE = 1e-11
+DEDUPE_TOLERANCE = 1e-8
+
+
 @dataclass(frozen=True)
 class OrbitSearchConfig:
-    """Tuning knobs for the shooting search.
-
-    ``scan_samples`` = 0 means 720 per allowed reflection; ``return_radius``
-    = 0 means 1e-6 * rho, resolved when the search runs.
-    """
+    """Reflection budget of the shooting search."""
 
     max_reflections: int
-    scan_samples: int = 0
-    return_radius: float = 0.0
-    angle_tolerance: float = 1e-11
-    dedupe_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not (isinstance(self.max_reflections, int) and self.max_reflections >= 1):
             raise ValidationError("max_reflections must be a positive integer")
-        if self.scan_samples == 0:
-            object.__setattr__(self, "scan_samples", 720 * self.max_reflections)
-        if self.scan_samples < 4 * self.max_reflections:
-            raise ValidationError(
-                "scan_samples must be at least 4 * max_reflections"
-            )
-        if self.angle_tolerance <= 0.0 or self.dedupe_tolerance <= 0.0:
-            raise ValidationError("tolerances must be positive")
-        if self.return_radius < 0.0:
-            raise ValidationError("return_radius must be >= 0")
 
 
 def default_search_config(wedge: WedgeGeometry) -> OrbitSearchConfig:
@@ -201,12 +194,23 @@ def find_numeric(
     each reflection count, and refines the brackets by bisection.  Launches
     that graze the apex are skipped with a log record; an empty catalog is a
     valid result, not an error.
+
+    The miss distance jumps across the launch at the apex, pi/2 + beta.
+    Just below a pi/N the m = N time-reversed pair closes on either side of
+    it, closer than one scan step, so the scan adds a launch a hair to each
+    side and refines the bracket between those two only at pi/N, where it
+    holds the orbit through the apex (j = N of even N, the N = 1 mirror
+    orbit).  Within about 3e-9 (relative) of a pi/N one orbit of that pair
+    can still be lost: it grazes the apex, where apex diffraction (Keller,
+    J. Opt. Soc. Am. 52, 116 (1962)) takes over from the orbit sum.
     """
     start = ion_cartesian(wedge, ion)
-    return_radius = cfg.return_radius or 1e-6 * ion.rho
+    return_radius = RETURN_RADIUS * ion.rho
     fan_lo = wedge.right_surface_azimuth
     fan_hi = wedge.left_surface_azimuth
-    step = (fan_hi - fan_lo) / cfg.scan_samples
+    samples = SCAN_SAMPLES_PER_REFLECTION * cfg.max_reflections
+    step = (fan_hi - fan_lo) / samples
+    apex = 0.5 * math.pi + ion.beta
 
     def sample(phi: float) -> dict[int, Approach] | None:
         try:
@@ -219,10 +223,9 @@ def find_numeric(
 
     # Midpoint sampling keeps the endpoints (launches parallel to a surface)
     # out of the grid.
-    grid: list[tuple[float, dict[int, Approach] | None]] = [
-        (fan_lo + (i + 0.5) * step, None) for i in range(cfg.scan_samples)
-    ]
-    grid = [(phi, sample(phi)) for phi, _ in grid]
+    launches = [fan_lo + (i + 0.5) * step for i in range(samples)]
+    launches += [apex - 2.0 * ANGLE_TOLERANCE, apex + 2.0 * ANGLE_TOLERANCE]
+    grid = [(phi, sample(phi)) for phi in sorted(launches)]
 
     roots: list[tuple[float, Approach]] = []
     for phi, approaches in grid:
@@ -235,12 +238,14 @@ def find_numeric(
     for (phi_a, sa), (phi_b, sb) in zip(grid, grid[1:]):
         if sa is None or sb is None:
             continue
+        if phi_a < apex < phi_b and wedge.n_integer is None:
+            continue
         for m, app_a in sa.items():
             app_b = sb.get(m)
             if app_b is None:
                 continue
             if app_a.signed_miss * app_b.signed_miss < 0.0:
-                found = _refine(phi_a, phi_b, app_a.signed_miss, m, sample, cfg)
+                found = _refine(phi_a, phi_b, app_a.signed_miss, m, sample)
                 if found is not None and found[1].distance <= return_radius:
                     roots.append(found)
 
@@ -250,7 +255,7 @@ def find_numeric(
         if orbits:
             last = orbits[-1]
             gap = abs(phi - last.phi_out)
-            if min(gap, TWO_PI - gap) <= cfg.dedupe_tolerance and app.reflections == last.m:
+            if min(gap, TWO_PI - gap) <= DEDUPE_TOLERANCE and app.reflections == last.m:
                 continue
         orbits.append(
             ClosedOrbit(
@@ -269,9 +274,9 @@ def find_numeric(
 _SPLIT_FRACTIONS = (0.5, 0.57, 0.43, 0.65, 0.35)
 
 
-def _refine(lo, hi, miss_lo, m, sample, cfg) -> tuple[float, Approach] | None:
+def _refine(lo, hi, miss_lo, m, sample) -> tuple[float, Approach] | None:
     """Bisect one sign change of the miss distance at reflection count m."""
-    while hi - lo > cfg.angle_tolerance:
+    while hi - lo > ANGLE_TOLERANCE:
         for frac in _SPLIT_FRACTIONS:
             phi = lo + frac * (hi - lo)
             approaches = sample(phi)
@@ -294,7 +299,7 @@ def _refine(lo, hi, miss_lo, m, sample, cfg) -> tuple[float, Approach] | None:
     root = 0.5 * (lo + hi)
     # The exactly closed launch can graze the apex (a corner-reflector orbit
     # passes through it); measure a hair to the side if it does.
-    for phi in (root, root + 2.0 * cfg.angle_tolerance, root - 2.0 * cfg.angle_tolerance):
+    for phi in (root, root + 2.0 * ANGLE_TOLERANCE, root - 2.0 * ANGLE_TOLERANCE):
         approaches = sample(phi)
         if approaches is not None and m in approaches:
             return root, approaches[m]

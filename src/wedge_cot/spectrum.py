@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import (
@@ -224,18 +223,39 @@ def _orbit_term(
     return prefactor * f_out * f_ret * phase / orbit.length
 
 
-@lru_cache(maxsize=64)
-def _orbit_catalog(
+def _orbit_sum(
+    catalog: tuple[ClosedOrbit, ...],
+    k: float,
+    prefactor: float,
+    pol: Polarization,
+    refl: ReflectionModel,
+) -> tuple[float, list[float]]:
+    """sigma_osc at momentum k and its per-orbit terms, in catalog order.
+
+    The explicit running sum fixes the rounding; built-in sum() may
+    compensate and change the last bits.
+    """
+    terms = [_orbit_term(orbit, k, prefactor, pol, refl) for orbit in catalog]
+    sigma_osc = 0.0
+    for term in terms:
+        sigma_osc += term
+    return sigma_osc, terms
+
+
+def orbit_catalog(
     wedge: WedgeGeometry,
     ion: IonPosition,
-    source: str,
-    max_reflections: int | None,
+    source: str = "analytic",
+    max_reflections: int | None = None,
 ) -> tuple[ClosedOrbit, ...]:
+    """Closed orbits of the ion: the pi/N enumeration for source 'analytic',
+    the shooting search for 'numeric'.  Built afresh on every call; callers
+    that keep the ion fixed build it once."""
     if source == "analytic":
         if wedge.n_integer is None:
             raise ValidationError(
                 "the analytic orbit catalog requires an opening angle pi/N; "
-                "use orbit_source='numeric' for this wedge"
+                "use the numeric orbit source for this wedge"
             )
         return tuple(enumerate_analytic(wedge.n_integer, ion))
     if source == "numeric":
@@ -247,16 +267,6 @@ def _orbit_catalog(
     raise ValidationError(
         f"orbit_source must be one of {ORBIT_SOURCES}, got {source!r}"
     )
-
-
-def orbit_catalog(
-    wedge: WedgeGeometry,
-    ion: IonPosition,
-    source: str = "analytic",
-    max_reflections: int | None = None,
-) -> tuple[ClosedOrbit, ...]:
-    """Catalog for the given wedge and ion, cached across energy grids."""
-    return _orbit_catalog(wedge, ion, source, max_reflections)
 
 
 def sigma_total(
@@ -273,10 +283,9 @@ def sigma_total(
     validate_beta(wedge, ion, beta_min)
     energy, k = energy_conversion(e_photon_ev, consts)
     sigma0 = sigma_background(energy, consts)
-    prefactor = 3.0 * sigma0 / k
-    sigma_osc = 0.0
-    for orbit in orbit_catalog(wedge, ion, orbit_source):
-        sigma_osc += _orbit_term(orbit, k, prefactor, pol, refl)
+    sigma_osc, _ = _orbit_sum(
+        orbit_catalog(wedge, ion, orbit_source), k, 3.0 * sigma0 / k, pol, refl
+    )
     return SpectrumPoint.build(e_photon_ev, energy, k, sigma0, sigma_osc)
 
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, VERSION, PhysicalConstants
-from .errors import BelowThresholdError, BetaRangeError, GridError, ValidationError
+from .errors import BelowThresholdError, GridError, ValidationError
 from .geometry import BETA_MIN, IonPosition, WedgeGeometry, validate_beta
 from .spectrum import (
     Polarization,
     ReflectionModel,
-    _orbit_term,
+    _orbit_sum,
     energy_conversion,
     orbit_catalog,
     sigma_background,
@@ -83,6 +83,47 @@ def _validate_grid(start: float, stop: float, steps: int):
         raise GridError(f"need start < stop, got [{start!r}, {stop!r}]")
 
 
+def _energy_grid(
+    generator: str,
+    start_ev: float,
+    stop_ev: float,
+    steps: int,
+    wedge: WedgeGeometry,
+    ion: IonPosition,
+    pol: Polarization,
+    refl: ReflectionModel,
+    orbit_source: str,
+    consts: PhysicalConstants,
+):
+    """What both energy generators share: the catalog, one
+    (E_photon, sigma0, sigma_osc, terms) per grid point with sigma_osc bit
+    for bit sigma_total's, and the provenance."""
+    _validate_grid(start_ev, stop_ev, steps)
+    if start_ev <= consts.binding_energy_ev:
+        raise BelowThresholdError(
+            f"energy grid must start above the {consts.binding_energy_ev} eV "
+            f"threshold, got {start_ev!r}"
+        )
+    validate_beta(wedge, ion, BETA_MIN)
+    catalog = orbit_catalog(wedge, ion, orbit_source)
+    points = []
+    for e_ph in np.linspace(start_ev, stop_ev, steps):
+        e_ph = float(e_ph)
+        energy, k = energy_conversion(e_ph, consts)
+        sigma0 = sigma_background(energy, consts)
+        points.append(
+            (e_ph, sigma0, *_orbit_sum(catalog, k, 3.0 * sigma0 / k, pol, refl))
+        )
+    meta = _base_meta(
+        generator, wedge, consts,
+        rho_a0=ion.rho, beta_rad=ion.beta,
+        theta_L_rad=pol.theta_L, phi_L_rad=pol.phi_L,
+        delta_rad=refl.delta, orbit_source=orbit_source,
+        E_min_eV=start_ev, E_max_eV=stop_ev, steps=steps,
+    )
+    return catalog, points, tuple(meta)
+
+
 def energy_sweep(
     start_ev: float,
     stop_ev: float,
@@ -95,29 +136,14 @@ def energy_sweep(
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> Dataset:
     """Cross section on a uniform photon-energy grid (eV, endpoints included)."""
-    _validate_grid(start_ev, stop_ev, steps)
-    if start_ev <= consts.binding_energy_ev:
-        raise BelowThresholdError(
-            f"energy grid must start above the {consts.binding_energy_ev} eV "
-            f"threshold, got {start_ev!r}"
-        )
-    rows = []
-    for e_ph in np.linspace(start_ev, stop_ev, steps):
-        point = sigma_total(
-            float(e_ph), wedge, ion, pol, refl, orbit_source, consts
-        )
-        rows.append((point.e_photon_ev, point.sigma0, point.sigma_osc, point.sigma))
-    meta = _base_meta(
-        "energy_sweep", wedge, consts,
-        rho_a0=ion.rho, beta_rad=ion.beta,
-        theta_L_rad=pol.theta_L, phi_L_rad=pol.phi_L,
-        delta_rad=refl.delta, orbit_source=orbit_source,
-        E_min_eV=start_ev, E_max_eV=stop_ev, steps=steps,
+    _, points, meta = _energy_grid(
+        "energy_sweep", start_ev, stop_ev, steps,
+        wedge, ion, pol, refl, orbit_source, consts,
     )
     return Dataset(
         columns=("E_photon_eV", "sigma0_au", "sigma_osc_au", "sigma_au"),
-        rows=tuple(rows),
-        meta=tuple(meta),
+        rows=tuple((e_ph, s0, osc, s0 + osc) for e_ph, s0, osc, _ in points),
+        meta=meta,
     )
 
 
@@ -135,34 +161,18 @@ def orbit_decomposition(
     """Per-orbit oscillatory terms on an energy grid; the total column is the
     running sum of the term columns in catalog order, so it reproduces
     sigma_total's sigma_osc bit for bit."""
-    _validate_grid(start_ev, stop_ev, steps)
-    if start_ev <= consts.binding_energy_ev:
-        raise BelowThresholdError(
-            f"energy grid must start above the {consts.binding_energy_ev} eV "
-            f"threshold, got {start_ev!r}"
-        )
-    validate_beta(wedge, ion, BETA_MIN)
-    catalog = orbit_catalog(wedge, ion, orbit_source)
-    rows = []
-    for e_ph in np.linspace(start_ev, stop_ev, steps):
-        energy, k = energy_conversion(float(e_ph), consts)
-        prefactor = 3.0 * sigma_background(energy, consts) / k
-        terms = [_orbit_term(orbit, k, prefactor, pol, refl) for orbit in catalog]
-        total = 0.0
-        for term in terms:
-            total += term
-        rows.append((float(e_ph), total, *terms))
-    meta = _base_meta(
-        "orbit_decomposition", wedge, consts,
-        rho_a0=ion.rho, beta_rad=ion.beta,
-        theta_L_rad=pol.theta_L, phi_L_rad=pol.phi_L,
-        delta_rad=refl.delta, orbit_source=orbit_source,
-        E_min_eV=start_ev, E_max_eV=stop_ev, steps=steps,
+    catalog, points, meta = _energy_grid(
+        "orbit_decomposition", start_ev, stop_ev, steps,
+        wedge, ion, pol, refl, orbit_source, consts,
     )
     columns = ("E_photon_eV", "sigma_osc_total_au") + tuple(
         f"term_{orbit.index}_au" for orbit in catalog
     )
-    return Dataset(columns=columns, rows=tuple(rows), meta=tuple(meta))
+    return Dataset(
+        columns=columns,
+        rows=tuple((e_ph, osc, *terms) for e_ph, _, osc, terms in points),
+        meta=meta,
+    )
 
 
 POSITION_VARIABLES = ("rho", "beta")
@@ -197,12 +207,8 @@ def position_sweep(
             raise ValidationError(f"rho grid must be positive, got {start!r}")
         column = "rho_a0"
     else:
-        lo, hi = BETA_MIN, wedge.opening_angle - BETA_MIN
-        if start < lo or stop > hi:
-            raise BetaRangeError(
-                f"beta grid [{start!r}, {stop!r}] leaves the guard band "
-                f"[{lo!r}, {hi!r}]"
-            )
+        for beta in (start, stop):
+            validate_beta(wedge, IonPosition(ion.rho, beta), BETA_MIN)
         column = "beta_rad"
     rows = []
     for value in np.linspace(start, stop, steps):
@@ -244,14 +250,16 @@ def polarization_map(
     phi_L uniform on [0, 2 pi) without the duplicate endpoint."""
     if theta_steps < 2 or phi_steps < 2:
         raise GridError("theta_steps and phi_steps must each be >= 2")
+    validate_beta(wedge, ion, BETA_MIN)
+    energy, k = energy_conversion(e_photon_ev, consts)
+    prefactor = 3.0 * sigma_background(energy, consts) / k
+    catalog = orbit_catalog(wedge, ion, orbit_source)
     rows = []
     for theta in np.linspace(0.0, math.pi, theta_steps):
         for phi in np.linspace(0.0, 2.0 * math.pi, phi_steps, endpoint=False):
             pol = Polarization(float(theta), float(phi))
-            point = sigma_total(
-                e_photon_ev, wedge, ion, pol, refl, orbit_source, consts
-            )
-            rows.append((float(theta), float(phi), point.sigma_osc))
+            sigma_osc, _ = _orbit_sum(catalog, k, prefactor, pol, refl)
+            rows.append((float(theta), float(phi), sigma_osc))
     meta = _base_meta(
         "polarization_map", wedge, consts,
         rho_a0=ion.rho, beta_rad=ion.beta,

@@ -115,6 +115,13 @@ def test_beta_out_of_range_exit_2(capsys):
     assert err.startswith("error[beta-out-of-range]")
 
 
+def test_beta_one_ulp_below_pi_over_21_exit_2(capsys):
+    # (1/21) pi rounds to this beta: the j = 1 orbit would have no length.
+    assert main(["orbits", "--n", "21", "--beta", "0.1495996501709425"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[beta-out-of-range]")
+
+
 def test_below_threshold_exit_2(capsys):
     assert main(["spectrum", "--e-min", "0.1", "--e-max", "1.4",
                  "--steps", "16"]) == 2

@@ -19,7 +19,6 @@ from wedge_cot.geometry import (
     TWO_PI,
     Approach,
     IonPosition,
-    Ray,
     WedgeGeometry,
     ion_cartesian,
     is_interior,
@@ -87,11 +86,6 @@ def test_surface_distances_match_declination():
     )
     assert is_interior(TABLE_WEDGE, point)
     assert not is_interior(TABLE_WEDGE, (-1.0, -1.0))
-
-
-def test_ray_requires_unit_direction():
-    with pytest.raises(ValidationError):
-        Ray((1.0, -1.0), (0.5, 0.5))
 
 
 # ---------------------------------------------------------------- reflection

@@ -54,10 +54,10 @@ def pi_over_n_ions(draw):
 
 
 def buildable(n, ion):
-    # Where (1/N) pi rounds to beta itself (beta one ulp below pi/N for some
-    # N), the j = 1 chord sin(phi_out - beta) is exactly 0 and the catalog
-    # raises ZeroLengthOrbitError; the oracle tests pin that outcome.
-    return 1 / n * math.pi != ion.beta
+    # The j = 1 launch (1/N) pi can round below pi/N.  A beta at or above it
+    # (one ulp below pi/N for some N) would give a zero or wrapped j = 1
+    # chord, so the catalog rejects it with BetaRangeError.
+    return ion.beta < 1 / n * math.pi
 
 
 # ------------------------------------------------------------ exact catalog
@@ -264,15 +264,32 @@ def outcome(build, n, ion):
 @given(case=pi_over_n_ions())
 def test_enumerate_analytic_equals_fraction_oracle_bit_for_bit(case):
     n, ion = case
-    assert outcome(enumerate_analytic, n, ion) == outcome(fraction_oracle, n, ion)
+    if buildable(n, ion):
+        assert outcome(enumerate_analytic, n, ion) == outcome(fraction_oracle, n, ion)
+    else:
+        assert outcome(enumerate_analytic, n, ion) is BetaRangeError
 
 
-def test_fraction_oracle_agrees_at_the_zero_chord_edge():
+def test_zero_chord_edge_is_out_of_range():
+    # beta one ulp below pi/21 is the rounded j = 1 launch (1/21) pi itself:
+    # the oracle's j = 1 chord is exactly 0, and the catalog rejects beta.
     n = 21
     ion = IonPosition(1.0, math.nextafter(math.pi / n, 0.0))
     assert not buildable(n, ion)
-    assert outcome(enumerate_analytic, n, ion) is ZeroLengthOrbitError
     assert outcome(fraction_oracle, n, ion) is ZeroLengthOrbitError
+    assert outcome(enumerate_analytic, n, ion) is BetaRangeError
+
+
+def test_beta_a_few_ulps_below_pi_over_n_builds_or_is_out_of_range():
+    for n in range(1, 201):
+        beta = math.pi / n
+        for _ in range(3):
+            beta = math.nextafter(beta, 0.0)
+            try:
+                orbits = enumerate_analytic(n, IonPosition(1.0, beta))
+            except BetaRangeError:
+                continue
+            assert len(orbits) == 2 * n - 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -342,10 +359,54 @@ def test_find_numeric_irrational_wedge_perpendicular_orbits():
     np.testing.assert_allclose(singles, expected, rtol=1e-9)
 
 
+def unpaired(catalog, tol=1e-9):
+    """Orbits without a time-reversed partner: the partner of (phi_out,
+    phi_ret, m) leaves at phi_ret + pi and returns at phi_out + pi."""
+    def gap(a, b):
+        d = abs(a - b) % TWO_PI
+        return min(d, TWO_PI - d)
+    return [
+        o for o in catalog
+        if not any(p.m == o.m and gap(p.phi_out, o.phi_ret + math.pi) <= tol
+                   and gap(p.phi_ret, o.phi_out + math.pi) <= tol for p in catalog)
+    ]
+
+
+def assert_retraces(wedge, ion, catalog):
+    start = ion_cartesian(wedge, ion)
+    for o in catalog:
+        path = trace(wedge, start, (math.cos(o.phi_out), math.sin(o.phi_out)), o.m)
+        back = [a for a in path.approaches if a.reflections == o.m][-1]
+        assert back.distance <= 1e-9 * ion.rho
+        np.testing.assert_allclose(back.path_length, o.length, rtol=1e-9)
+
+
+def test_find_numeric_keeps_both_orbits_of_a_pair_just_below_pi_over_2():
+    # alpha 4.6e-4 below pi/2: the m = 2 pair closes on either side of the
+    # launch at the apex, less than one scan step apart.
+    wedge = WedgeGeometry.from_alpha(1.5700792)
+    ion = IonPosition(200.0, 0.94764 * 1.5700792)
+    orbits = find_numeric(wedge, ion, default_search_config(wedge))
+    assert len(orbits) == 4
+    assert unpaired(orbits) == []
+    assert_retraces(wedge, ion, orbits)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 6), offset=st.floats(-8.0, -2.0),
+       side=st.sampled_from((-1.0, 1.0)), beta_frac=st.floats(0.05, 0.95),
+       rho=st.floats(50.0, 800.0))
+def test_find_numeric_pairs_every_orbit_near_pi_over_n(n, offset, side, beta_frac, rho):
+    """Within 1e-8 to 1e-2 (relative) of a pi/N, on either side, every orbit
+    has its time-reversed partner and retraces to the ion."""
+    wedge = WedgeGeometry.from_alpha(math.pi / n * (1.0 + side * 10.0**offset))
+    ion = IonPosition(rho, beta_frac * wedge.opening_angle)
+    orbits = find_numeric(wedge, ion, default_search_config(wedge))
+    assert orbits
+    assert unpaired(orbits) == []
+    assert_retraces(wedge, ion, orbits)
+
+
 def test_search_config_validation():
     with pytest.raises(ValidationError):
         OrbitSearchConfig(max_reflections=0)
-    with pytest.raises(ValidationError):
-        OrbitSearchConfig(max_reflections=9, scan_samples=8)
-    with pytest.raises(ValidationError):
-        OrbitSearchConfig(max_reflections=3, angle_tolerance=0.0)

@@ -105,12 +105,30 @@ def test_decomposition_columns_sum_to_total(wedge5, ion_ref, hard):
         assert running == total  # same order, bit for bit
 
 
-def test_decomposition_total_matches_sigma_total(wedge5, ion_ref, hard):
-    ds = orbit_decomposition(0.9, 1.1, 16, wedge5, ion_ref,
-                             Polarization(0.8, 2.1), hard)
-    for row in ds.rows:
-        point = sigma_total(row[0], wedge5, ion_ref, Polarization(0.8, 2.1), hard)
-        assert row[1] == point.sigma_osc
+def test_decomposition_total_matches_sigma_total(hard):
+    """Every generator sums the orbits the way per-point sigma_total does,
+    bit for bit: energy rows, decomposition totals and polarization cells."""
+    oblique = Polarization(0.8, 2.1)
+    cases = [(WedgeGeometry.from_n(n), refl, "analytic")
+             for n in range(1, 9) for refl in (hard, ReflectionModel.soft())]
+    cases.append((WedgeGeometry.from_n(3), hard, "numeric"))
+    for wedge, refl, source in cases:
+        ion = IonPosition(200.0, 0.3 * wedge.opening_angle)
+
+        def point(e, pol=oblique):
+            return sigma_total(e, wedge, ion, pol, refl, source)
+
+        steps = 3 if source == "numeric" else 16
+        args = (0.9, 1.1, steps, wedge, ion, oblique, refl, source)
+        for row in energy_sweep(*args).rows:
+            p = point(row[0])
+            assert row == (p.e_photon_ev, p.sigma0, p.sigma_osc, p.sigma)
+        for row in orbit_decomposition(*args).rows:
+            assert row[1] == point(row[0]).sigma_osc
+        if source == "analytic":
+            for theta, phi, osc in polarization_map(
+                    5, 4, 1.0, wedge, ion, refl, source).rows:
+                assert osc == point(1.0, Polarization(theta, phi)).sigma_osc
 
 
 def test_decomposition_short_orbit_dominates(wedge5, ion_ref, hard):
