@@ -186,22 +186,26 @@ def _cmd_orbits(args) -> int:
 
     wedge = _resolve_wedge(args)
     ion, beta_frac = _resolve_ion(args)
-    print("label phi_out phi_ret m length length_a0")
+    # Every row is built before anything is printed, so a failing catalog
+    # leaves stdout empty.
     if args.orbit_source == "analytic" and beta_frac is not None and wedge.n_integer:
         # beta given as a fraction of pi: the table keeps its angles exact.
-        for row in exact_catalog(wedge.n_integer, beta_frac):
-            chord = f"2*rho*|sin({format_pi_fraction(row.chord_over_pi)})|"
-            print(
-                f"{row.index} {format_pi_fraction(row.phi_out_over_pi)} "
-                f"{format_pi_fraction(row.phi_ret_over_pi)} {row.m} "
-                f"{chord} {row.to_closed_orbit(ion.rho).length:.17g}"
-            )
-        return 0
-    for orbit in orbit_catalog(wedge, ion, args.orbit_source, args.max_reflections):
-        print(
+        lines = [
+            f"{row.index} {format_pi_fraction(row.phi_out_over_pi)} "
+            f"{format_pi_fraction(row.phi_ret_over_pi)} {row.m} "
+            f"2*rho*|sin({format_pi_fraction(row.chord_over_pi)})| "
+            f"{row.to_closed_orbit(ion.rho).length:.17g}"
+            for row in exact_catalog(wedge.n_integer, beta_frac)
+        ]
+    else:
+        lines = [
             f"{orbit.index} {orbit.phi_out:.17g} {orbit.phi_ret:.17g} "
             f"{orbit.m} - {orbit.length:.17g}"
-        )
+            for orbit in orbit_catalog(
+                wedge, ion, args.orbit_source, args.max_reflections
+            )
+        ]
+    print("\n".join(["label phi_out phi_ret m length length_a0", *lines]))
     return 0
 
 
@@ -215,9 +219,9 @@ def _beta_grid(args, wedge):
 
 
 #: Dataset subcommands: the name of the ``sweeps`` generator each one runs,
-#: looked up on the module when it runs (``sweeps`` imports numpy, which
-#: ``orbits`` does without), and the grid arguments that come before the
-#: wedge and the ion.
+#: looked up on the module when it runs (so ``orbits`` and ``verify`` never
+#: import ``sweeps``, which itself runs on the standard library alone), and
+#: the grid arguments that come before the wedge and the ion.
 _DATASETS = {
     "spectrum": ("energy_sweep", lambda a, w: (a.e_min, a.e_max, a.steps)),
     "decompose": ("orbit_decomposition", lambda a, w: (a.e_min, a.e_max, a.steps)),

@@ -1,7 +1,10 @@
 """Catalogs of closed orbits: trajectories leaving the ion and returning to it.
 
 For a wedge of opening angle pi/N the catalog is analytic: there are exactly
-2N-1 closed orbits, indexed j = 1..2N-1 in ascending launch azimuth.  Odd-j
+2N-1 closed orbits, indexed j = 1..2N-1 and listed in j order.  That is the
+order of ascending launch azimuth, except in floats when beta is a few ulps
+below pi/N: an even-j launch j pi/(2N) + beta can then round one ulp above
+the next odd one, (j+2) pi/(2N), and the catalog stays in j order.  Odd-j
 orbits leave at phi_out = (j+1)pi/(2N), retrace themselves, and return
 antiparallel; even-j orbits leave at phi_out = j pi/(2N) + beta and pair up
 with their time-reversed partners j <-> 2N-j.  Every orbit has length
@@ -128,7 +131,8 @@ def exact_catalog(n: int, beta_over_pi: Fraction) -> list[ExactOrbit]:
 
 
 def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
-    """Analytic catalog for a pi/N wedge: 2N-1 orbits in ascending phi_out."""
+    """Analytic catalog for a pi/N wedge: 2N-1 orbits in j order, which is
+    ascending phi_out except for beta a few ulps below pi/N (see above)."""
     _validate_n(n)
     # The j = 1 launch (1/N) pi can round below pi/N; beta must stay under
     # it too, or the j = 1 chord is zero.

@@ -185,15 +185,26 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
 
 def phase_sin(k: float, length: float, shift: float) -> float:
     """sin(k*length - shift), keeping the phase accurate when k*length is
-    too large for a naive product to retain sub-radian precision."""
+    too large for a naive product to retain sub-radian precision.
+
+    Dekker's split overflows for factors above about 1.3e300, so the
+    reduction fails for such a k, length or k*length/(2 pi); that raises
+    ValidationError rather than returning nan.
+    """
     product = k * length
     if product < _REDUCE_THRESHOLD:
         return math.sin(product - shift)
-    hi, lo = _two_prod(k, length)
-    n = round(hi / _TWO_PI_HI)
-    q_hi, q_lo = _two_prod(float(n), _TWO_PI_HI)
-    reduced = ((hi - q_hi) - q_lo) + (lo - n * _TWO_PI_LO)
-    return math.sin(reduced - shift)
+    if product < math.inf:
+        hi, lo = _two_prod(k, length)
+        n = round(hi / _TWO_PI_HI)
+        q_hi, q_lo = _two_prod(float(n), _TWO_PI_HI)
+        reduced = ((hi - q_hi) - q_lo) + (lo - n * _TWO_PI_LO)
+        if math.isfinite(reduced):
+            return math.sin(reduced - shift)
+    raise ValidationError(
+        f"k*L = {product!r} (k = {k!r}, L = {length!r}) is too large to "
+        "reduce the phase sin(k L - m Delta) modulo 2 pi"
+    )
 
 
 def orbit_term(
@@ -207,35 +218,54 @@ def orbit_term(
     if not (k > 0.0):
         raise ValidationError(f"k must be positive, got {k!r}")
     sigma0 = sigma_background(0.5 * k * k, consts)
-    return _orbit_term(orbit, k, 3.0 * sigma0 / k, pol, refl)
+    _, (term,) = _orbit_sum(
+        3.0 * sigma0 / k, _factors((orbit,), pol), _waves(k, _paths((orbit,), refl))
+    )
+    return term
 
 
-def _orbit_term(
-    orbit: ClosedOrbit,
-    k: float,
-    prefactor: float,
-    pol: Polarization,
-    refl: ReflectionModel,
-) -> float:
-    f_out = _in_plane_factor(orbit.phi_out, pol)
-    f_ret = _in_plane_factor(orbit.phi_ret, pol)
-    phase = phase_sin(k, orbit.length, orbit.m * refl.delta)
-    return prefactor * f_out * f_ret * phase / orbit.length
+# The orbit sum takes two halves from each orbit: the polarization factors
+# (f_out, f_ret), which depend on the angles and pol, and the wave
+# (sin(k L - m Delta), L), which depends on k, the length and the walls.
+# A sweep builds once whichever half its grid leaves fixed.
+
+
+def _factors(
+    catalog: tuple[ClosedOrbit, ...], pol: Polarization
+) -> list[tuple[float, float]]:
+    """(f_out, f_ret) of each orbit."""
+    return [
+        (_in_plane_factor(orbit.phi_out, pol), _in_plane_factor(orbit.phi_ret, pol))
+        for orbit in catalog
+    ]
+
+
+def _paths(
+    catalog: tuple[ClosedOrbit, ...], refl: ReflectionModel
+) -> list[tuple[float, float]]:
+    """(L, m Delta) of each orbit."""
+    return [(orbit.length, orbit.m * refl.delta) for orbit in catalog]
+
+
+def _waves(k: float, paths: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """(sin(k L - m Delta), L) of each orbit."""
+    return [(phase_sin(k, length, shift), length) for length, shift in paths]
 
 
 def _orbit_sum(
-    catalog: tuple[ClosedOrbit, ...],
-    k: float,
     prefactor: float,
-    pol: Polarization,
-    refl: ReflectionModel,
+    factors: list[tuple[float, float]],
+    waves: list[tuple[float, float]],
 ) -> tuple[float, list[float]]:
-    """sigma_osc at momentum k and its per-orbit terms, in catalog order.
+    """sigma_osc and its per-orbit terms, in catalog order.
 
     The explicit running sum fixes the rounding; built-in sum() may
     compensate and change the last bits.
     """
-    terms = [_orbit_term(orbit, k, prefactor, pol, refl) for orbit in catalog]
+    terms = [
+        prefactor * f_out * f_ret * phase / length
+        for (f_out, f_ret), (phase, length) in zip(factors, waves)
+    ]
     sigma_osc = 0.0
     for term in terms:
         sigma_osc += term
@@ -283,8 +313,9 @@ def sigma_total(
     validate_beta(wedge, ion, beta_min)
     energy, k = energy_conversion(e_photon_ev, consts)
     sigma0 = sigma_background(energy, consts)
+    catalog = orbit_catalog(wedge, ion, orbit_source)
     sigma_osc, _ = _orbit_sum(
-        orbit_catalog(wedge, ion, orbit_source), k, 3.0 * sigma0 / k, pol, refl
+        3.0 * sigma0 / k, _factors(catalog, pol), _waves(k, _paths(catalog, refl))
     )
     return SpectrumPoint.build(e_photon_ev, energy, k, sigma0, sigma_osc)
 

@@ -4,6 +4,9 @@ Four generators: the cross section against photon energy, its per-orbit
 decomposition, its dependence on the ion position (rho or beta), and its
 dependence on the laser polarization direction.  Each returns a Dataset
 carrying its full provenance, ready for CSV or JSON serialization.
+
+The generators need only the standard library; ``Dataset.column`` imports
+numpy when it is called.
 """
 
 from __future__ import annotations
@@ -11,19 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import DEFAULT_CONSTANTS, VERSION, PhysicalConstants
 from .errors import BelowThresholdError, GridError, ValidationError
 from .geometry import BETA_MIN, IonPosition, WedgeGeometry, validate_beta
 from .spectrum import (
     Polarization,
     ReflectionModel,
+    _factors,
     _orbit_sum,
+    _paths,
+    _waves,
     energy_conversion,
     orbit_catalog,
     sigma_background,
-    sigma_total,
 )
 
 MetaPairs = tuple[tuple[str, str], ...]
@@ -48,9 +51,28 @@ class Dataset:
                 if not math.isfinite(value):
                     raise ValidationError("dataset rows must be finite")
 
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str):
+        """The named column as a numpy array."""
+        import numpy as np
+
         i = self.columns.index(name)
         return np.array([row[i] for row in self.rows])
+
+
+def _linspace(
+    start: float, stop: float, num: int, endpoint: bool = True
+) -> list[float]:
+    """np.linspace(start, stop, num, endpoint).tolist(), bit for bit: numpy
+    forms each point as i*step + start, and sets the last to stop."""
+    div = num - 1 if endpoint else num
+    step = (stop - start) / div
+    if step == 0.0:  # numpy's branch for a step that underflows
+        points = [i / div * (stop - start) + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    if endpoint:
+        points[-1] = stop
+    return points
 
 
 def _base_meta(
@@ -106,13 +128,13 @@ def _energy_grid(
         )
     validate_beta(wedge, ion, BETA_MIN)
     catalog = orbit_catalog(wedge, ion, orbit_source)
+    factors, paths = _factors(catalog, pol), _paths(catalog, refl)
     points = []
-    for e_ph in np.linspace(start_ev, stop_ev, steps):
-        e_ph = float(e_ph)
+    for e_ph in _linspace(start_ev, stop_ev, steps):
         energy, k = energy_conversion(e_ph, consts)
         sigma0 = sigma_background(energy, consts)
         points.append(
-            (e_ph, sigma0, *_orbit_sum(catalog, k, 3.0 * sigma0 / k, pol, refl))
+            (e_ph, sigma0, *_orbit_sum(3.0 * sigma0 / k, factors, _waves(k, paths)))
         )
     meta = _base_meta(
         generator, wedge, consts,
@@ -205,22 +227,40 @@ def position_sweep(
     if variable == "rho":
         if start <= 0.0:
             raise ValidationError(f"rho grid must be positive, got {start!r}")
+        validate_beta(wedge, ion, BETA_MIN)
         column = "rho_a0"
     else:
         for beta in (start, stop):
             validate_beta(wedge, IonPosition(ion.rho, beta), BETA_MIN)
         column = "beta_rad"
+    energy, k = energy_conversion(e_photon_ev, consts)
+    sigma0 = sigma_background(energy, consts)
+    prefactor = 3.0 * sigma0 / k
+
+    def catalog_at(value: float):
+        moved = (IonPosition(value, ion.beta) if variable == "rho"
+                 else IonPosition(ion.rho, value))
+        return orbit_catalog(wedge, moved, orbit_source)
+
+    scaled = variable == "rho" and orbit_source == "analytic"
+    if scaled:
+        # An analytic length is 2.0 * rho * |sin(x)| with x free of rho, so
+        # the catalog at rho = 0.5 holds the |sin(x)|, and 2.0 * rho times
+        # each is the length at rho bit for bit.
+        half = catalog_at(0.5)
+        factors, chords = _factors(half, pol), _paths(half, refl)
+        shortest = min(chord for chord, _ in chords)
     rows = []
-    for value in np.linspace(start, stop, steps):
-        value = float(value)
-        if variable == "rho":
-            moved = IonPosition(value, ion.beta)
+    for value in _linspace(start, stop, steps):
+        if scaled and 0.0 < 2.0 * value * shortest < math.inf:
+            paths = [(2.0 * value * chord, shift) for chord, shift in chords]
         else:
-            moved = IonPosition(ion.rho, value)
-        point = sigma_total(
-            e_photon_ev, wedge, moved, pol, refl, orbit_source, consts
-        )
-        rows.append((value, point.sigma0, point.sigma_osc, point.sigma))
+            # A length that would leave the float range is the catalog's to
+            # reject; beta sweeps and numeric catalogs change every orbit.
+            catalog = catalog_at(value)
+            factors, paths = _factors(catalog, pol), _paths(catalog, refl)
+        sigma_osc, _ = _orbit_sum(prefactor, factors, _waves(k, paths))
+        rows.append((value, sigma0, sigma_osc, sigma0 + sigma_osc))
     meta = _base_meta(
         "position_sweep", wedge, consts,
         variable=variable,
@@ -254,12 +294,13 @@ def polarization_map(
     energy, k = energy_conversion(e_photon_ev, consts)
     prefactor = 3.0 * sigma_background(energy, consts) / k
     catalog = orbit_catalog(wedge, ion, orbit_source)
+    waves = _waves(k, _paths(catalog, refl))
+    phis = _linspace(0.0, 2.0 * math.pi, phi_steps, endpoint=False)
     rows = []
-    for theta in np.linspace(0.0, math.pi, theta_steps):
-        for phi in np.linspace(0.0, 2.0 * math.pi, phi_steps, endpoint=False):
-            pol = Polarization(float(theta), float(phi))
-            sigma_osc, _ = _orbit_sum(catalog, k, prefactor, pol, refl)
-            rows.append((float(theta), float(phi), sigma_osc))
+    for theta in _linspace(0.0, math.pi, theta_steps):
+        for phi in phis:
+            factors = _factors(catalog, Polarization(theta, phi))
+            rows.append((theta, phi, _orbit_sum(prefactor, factors, waves)[0]))
     meta = _base_meta(
         "polarization_map", wedge, consts,
         rho_a0=ion.rho, beta_rad=ion.beta,

@@ -3,10 +3,15 @@ machine-readable errors, and byte-identical reruns."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wedge_cot
 from wedge_cot.cli import (
     format_pi_fraction,
     main,
@@ -122,6 +127,37 @@ def test_beta_one_ulp_below_pi_over_21_exit_2(capsys):
     assert err.startswith("error[beta-out-of-range]")
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--alpha", "1.0"],     # not pi/N: no analytic catalog
+    ["orbits", "--beta", "0.9"],      # float catalog, beta out of range
+    ["orbits", "--beta", "pi/3"],     # exact catalog, beta out of range
+])
+def test_failing_orbits_table_prints_nothing(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-rho", "--rho-min", "1e300", "--rho-max", "1e301"],
+     "error[invalid-input] k*L = "),
+    (["sweep-rho", "--rho-min", "1e300", "--rho-max", "1e308"],
+     "error[invalid-input] k*L = "),
+    (["spectrum", "--rho", "1e300", "--steps", "4"],
+     "error[invalid-input] k*L = "),
+    (["sweep-rho", "--rho-min", "1e308", "--rho-max", "1.5e308"],
+     "error[zero-length-orbit] orbit length must be positive, got inf"),
+    (["spectrum", "--rho", "1e308", "--steps", "4"],
+     "error[zero-length-orbit] orbit length must be positive, got inf"),
+])
+def test_extreme_lengths_exit_2_and_say_why(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message)
+
+
 def test_below_threshold_exit_2(capsys):
     assert main(["spectrum", "--e-min", "0.1", "--e-max", "1.4",
                  "--steps", "16"]) == 2
@@ -215,6 +251,24 @@ def test_sweep_and_polmap_commands_run(tmp_path):
                  "--format", "json", "-o", str(tmp_path / "p.json")]) == 0
     payload = json.loads((tmp_path / "p.json").read_text())
     assert len(payload["rows"]) == 12
+
+
+def test_commands_on_defaults_leave_numpy_unimported():
+    code = (
+        "import contextlib, io, sys\n"
+        "from wedge_cot.cli import main\n"
+        "for command in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([command]) == 0\n"
+        "    print(command, 'numpy' in sys.modules)\n"
+    )
+    commands = ["orbits", "spectrum", "decompose", "sweep-rho", "sweep-beta",
+                "polmap"]
+    src = str(Path(wedge_cot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code, *commands], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [f"{c} False" for c in commands]
 
 
 # ------------------------------------------------------------ determinism

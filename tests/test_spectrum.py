@@ -16,6 +16,7 @@ from wedge_cot.errors import (
     BelowThresholdError,
     ClosedFormDeltaError,
     ValidationError,
+    ZeroLengthOrbitError,
 )
 from wedge_cot.geometry import IonPosition, WedgeGeometry
 from wedge_cot.orbits import enumerate_analytic
@@ -148,6 +149,22 @@ def test_phase_sin_survives_huge_products():
     np.testing.assert_allclose(shifted, 0.08527293608207889, rtol=5e-14)
 
 
+@pytest.mark.parametrize("k, length", [
+    (0.134, 2e300),      # Dekker's split of L overflows
+    (1e301, 2.0),        # ... of k
+    (10.0, 1e300),       # ... of k*L/(2 pi)
+    (1e10, 1e300),       # k*L overflows
+])
+def test_phase_sin_rejects_products_it_cannot_reduce(k, length):
+    with pytest.raises(ValidationError, match=r"k\*L = .* too large"):
+        phase_sin(k, length, math.pi)
+
+
+def test_phase_sin_reduces_up_to_the_split_limit():
+    # L = 1e300 is below the 1.3e300 split limit: a finite phase.
+    assert abs(phase_sin(0.134, 1e300, math.pi)) <= 1.0
+
+
 # ------------------------------------------------------------- orbit terms
 
 def test_orbit_terms_vanish_for_out_of_plane_polarization(ion_ref, hard):
@@ -243,6 +260,15 @@ def test_orbit_source_independence(wedge5, ion_ref, hard):
         np.testing.assert_allclose(b.sigma_osc, a.sigma_osc,
                                    rtol=0, atol=1e-8 * a.sigma0)
         assert b.sigma0 == a.sigma0
+
+
+def test_sigma_total_at_extreme_lengths_names_the_problem(wedge5, hard):
+    pol = Polarization.x()
+    with pytest.raises(ValidationError, match=r"k\*L = .* too large"):
+        sigma_total(1.0, wedge5, IonPosition(1e300, math.pi / 15), pol, hard)
+    # 2 rho overflows: the catalog rejects the infinite length first.
+    with pytest.raises(ZeroLengthOrbitError, match="got inf"):
+        sigma_total(1.0, wedge5, IonPosition(1e308, math.pi / 15), pol, hard)
 
 
 def test_sigma_total_enforces_beta_guard(wedge5, hard):

@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wedge_cot.errors import (
     BelowThresholdError,
     BetaRangeError,
     GridError,
     ValidationError,
+    ZeroLengthOrbitError,
 )
 from wedge_cot.geometry import BETA_MIN, IonPosition, WedgeGeometry
 from wedge_cot.spectrum import Polarization, ReflectionModel, sigma_total
 from wedge_cot.sweeps import (
     Dataset,
+    _linspace,
     energy_sweep,
     orbit_decomposition,
     polarization_map,
@@ -38,6 +42,26 @@ def test_dataset_rejects_non_finite_entries():
 def test_dataset_column_accessor():
     ds = Dataset(columns=("a", "b"), rows=((1.0, 2.0), (3.0, 4.0)), meta=())
     np.testing.assert_array_equal(ds.column("b"), [2.0, 4.0])
+
+
+# ------------------------------------------------------------------ grids
+
+_magnitudes = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 300.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=_magnitudes, stop=_magnitudes, num=st.integers(2, 5000),
+       endpoint=st.booleans())
+@example(start=0.0, stop=1e-320, num=5000, endpoint=True)  # step underflows
+@example(start=1.0, stop=1.0000000000000002, num=5000, endpoint=False)
+@example(start=0.76, stop=1.4, num=2048, endpoint=True)
+def test_linspace_is_numpy_linspace_bit_for_bit(start, stop, num, endpoint):
+    ours = _linspace(start, stop, num, endpoint)
+    theirs = np.linspace(start, stop, num, endpoint=endpoint).tolist()
+    assert [x.hex() for x in ours] == [x.hex() for x in theirs]
 
 
 # ------------------------------------------------------------ energy sweep
@@ -107,7 +131,8 @@ def test_decomposition_columns_sum_to_total(wedge5, ion_ref, hard):
 
 def test_decomposition_total_matches_sigma_total(hard):
     """Every generator sums the orbits the way per-point sigma_total does,
-    bit for bit: energy rows, decomposition totals and polarization cells."""
+    bit for bit: energy rows, decomposition totals, polarization cells and
+    position rows, rho sweeps out to k L >= 2**32 included."""
     oblique = Polarization(0.8, 2.1)
     cases = [(WedgeGeometry.from_n(n), refl, "analytic")
              for n in range(1, 9) for refl in (hard, ReflectionModel.soft())]
@@ -115,8 +140,8 @@ def test_decomposition_total_matches_sigma_total(hard):
     for wedge, refl, source in cases:
         ion = IonPosition(200.0, 0.3 * wedge.opening_angle)
 
-        def point(e, pol=oblique):
-            return sigma_total(e, wedge, ion, pol, refl, source)
+        def point(e, pol=oblique, at=ion):
+            return sigma_total(e, wedge, at, pol, refl, source)
 
         steps = 3 if source == "numeric" else 16
         args = (0.9, 1.1, steps, wedge, ion, oblique, refl, source)
@@ -129,6 +154,25 @@ def test_decomposition_total_matches_sigma_total(hard):
             for theta, phi, osc in polarization_map(
                     5, 4, 1.0, wedge, ion, refl, source).rows:
                 assert osc == point(1.0, Polarization(theta, phi)).sigma_osc
+
+        if source == "numeric":
+            pols, rho_ranges, betas = (oblique,), [(50.0, 800.0)], ()
+        else:
+            # 1e12 bohr at 1 eV: k L up to about 2.7e11, past 2**32.
+            pols = (Polarization.x(), oblique)
+            rho_ranges = [(1e-3, 1.0), (50.0, 800.0), (1e9, 1e12)]
+            betas = (BETA_MIN, wedge.opening_angle - BETA_MIN)
+        for pol in pols:
+            for rho_range in rho_ranges:
+                for row in position_sweep("rho", *rho_range, steps, 1.0, wedge,
+                                          ion, pol, refl, source).rows:
+                    p = point(1.0, pol, IonPosition(row[0], ion.beta))
+                    assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)
+            if betas:
+                for row in position_sweep("beta", *betas, steps, 1.0, wedge,
+                                          ion, pol, refl, source).rows:
+                    p = point(1.0, pol, IonPosition(ion.rho, row[0]))
+                    assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)
 
 
 def test_decomposition_short_orbit_dominates(wedge5, ion_ref, hard):
@@ -204,6 +248,28 @@ def test_position_sweep_validation(wedge5, ion_ref, hard):
     with pytest.raises(ValidationError):
         position_sweep("rho", -5.0, 800.0, 16, 1.0, wedge5, ion_ref,
                        Polarization.x(), hard)
+
+
+def test_position_sweep_at_extreme_lengths_names_the_problem(wedge5, ion_ref,
+                                                            hard):
+    x = Polarization.x()
+    far = IonPosition(1e300, ion_ref.beta)
+    band = (BETA_MIN, wedge5.opening_angle - BETA_MIN)
+    too_large = r"k\*L = .* too large"
+    for rho_max in (1e301, 1e308):
+        with pytest.raises(ValidationError, match=too_large):
+            position_sweep("rho", 1e300, rho_max, 16, 1.0, wedge5, ion_ref, x, hard)
+    with pytest.raises(ValidationError, match=too_large):
+        position_sweep("beta", *band, 16, 1.0, wedge5, far, x, hard)
+    # From 2**1023 on, 2 rho overflows, and at the least subnormal rho the
+    # shortest length rounds to 0: the catalog rejects the length.
+    with pytest.raises(ZeroLengthOrbitError, match="got inf"):
+        position_sweep("rho", 1e308, 1.5e308, 16, 1.0, wedge5, ion_ref, x, hard)
+    with pytest.raises(ZeroLengthOrbitError, match="got 0.0"):
+        position_sweep("rho", 5e-324, 1e-323, 16, 1.0, wedge5, ion_ref, x, hard)
+    with pytest.raises(ZeroLengthOrbitError, match="got inf"):
+        position_sweep("beta", *band, 16, 1.0, wedge5,
+                       IonPosition(1e308, ion_ref.beta), x, hard)
 
 
 # -------------------------------------------------------- polarization map
