@@ -1,10 +1,10 @@
 """Closed-orbit photodetachment cross sections for a negative ion inside a
 wedge-shaped reflecting cavity.
 
-The light modules (geometry, orbits, constants, errors) import eagerly and
-pull in nothing beyond the standard library, so catalog work stays fast.
-The numerics-heavy modules (spectrum, oracle, sweeps, cli) load lazily on
-first attribute access.
+The core modules (geometry, orbits, constants, errors) import eagerly;
+spectrum, sweeps and cli load lazily on first attribute access.  All of them
+run on the standard library (numpy only inside ``verify`` and
+``Dataset.column``); oracle, which needs numpy and scipy, loads lazily too.
 """
 
 from __future__ import annotations

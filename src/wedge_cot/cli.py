@@ -201,9 +201,7 @@ def _cmd_orbits(args) -> int:
         lines = [
             f"{orbit.index} {orbit.phi_out:.17g} {orbit.phi_ret:.17g} "
             f"{orbit.m} - {orbit.length:.17g}"
-            for orbit in orbit_catalog(
-                wedge, ion, args.orbit_source, args.max_reflections
-            )
+            for orbit in orbit_catalog(wedge, ion, args.orbit_source)
         ]
     print("\n".join(["label phi_out phi_ret m length length_a0", *lines]))
     return 0
@@ -353,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the closed-orbit catalog")
     p.add_argument("--orbit-source", choices=("analytic", "numeric"),
                    default="analytic")
-    p.add_argument("--max-reflections", type=int,
-                   help="search budget for the numeric catalog")
     p.set_defaults(func=_cmd_orbits)
 
     for name in ("spectrum", "decompose"):

@@ -7,8 +7,11 @@ of the free ion, plus one oscillatory term per closed orbit:
 
 where f_* projects the laser polarization onto the outgoing and returning
 momentum directions and Delta is the phase lost per wall reflection (pi for
-hard walls).  For x, y, and z polarization with hard walls the sum collapses
-to closed forms evaluated here independently of the orbit catalog.
+hard walls).  At a fixed energy this is sin^2(theta_L) e^T S e for one 2x2
+tensor S = sum_j c_j u_out,j u_ret,j^T, with e = (cos phi_L, sin phi_L) and
+c_j = (3 sigma0 / k) sin(k L_j - m_j Delta) / L_j.  For hard walls the x and
+y cross sections, the diagonal S_xx and S_yy, have closed forms evaluated
+here independently of the orbit catalog; z polarization leaves no imprint.
 
 Energies are in hartree internally; photon energies enter in eV.  Cross
 sections are in bohr^2.
@@ -28,7 +31,6 @@ from .errors import (
 from .geometry import BETA_MIN, TWO_PI, IonPosition, WedgeGeometry, validate_beta
 from .orbits import (
     ClosedOrbit,
-    OrbitSearchConfig,
     default_search_config,
     enumerate_analytic,
     find_numeric,
@@ -276,7 +278,6 @@ def orbit_catalog(
     wedge: WedgeGeometry,
     ion: IonPosition,
     source: str = "analytic",
-    max_reflections: int | None = None,
 ) -> tuple[ClosedOrbit, ...]:
     """Closed orbits of the ion: the pi/N enumeration for source 'analytic',
     the shooting search for 'numeric'.  Built afresh on every call; callers
@@ -289,11 +290,7 @@ def orbit_catalog(
             )
         return tuple(enumerate_analytic(wedge.n_integer, ion))
     if source == "numeric":
-        if max_reflections is None:
-            cfg = default_search_config(wedge)
-        else:
-            cfg = OrbitSearchConfig(max_reflections=max_reflections)
-        return tuple(find_numeric(wedge, ion, cfg))
+        return tuple(find_numeric(wedge, ion, default_search_config(wedge)))
     raise ValidationError(
         f"orbit_source must be one of {ORBIT_SOURCES}, got {source!r}"
     )
@@ -320,13 +317,49 @@ def sigma_total(
     return SpectrumPoint.build(e_photon_ev, energy, k, sigma0, sigma_osc)
 
 
-def _closed_form_guard(refl: ReflectionModel | None, n: int, ion: IonPosition):
+def _closed_form(
+    e_photon_ev: float,
+    n: int,
+    ion: IonPosition,
+    consts: PhysicalConstants,
+    refl: ReflectionModel | None,
+    axis: int,
+) -> SpectrumPoint:
+    """Hard-wall cross section with sigma_osc = 3 sigma0 S_aa, a = x for
+    axis 0 and y for axis 1, where (S_xx, S_yy) / (3 sigma0) comes from the
+    closed-form chords alone, never from the catalog.
+
+    Odd-j orbits leave along i pi/N (i = 1..N) with chord sin(i pi/N - beta);
+    even-j ones leave along i pi/N + beta (i = 1..N-1) with chord sin(i pi/N).
+    The loop takes i = N at i = 0, the same axis, with chord sin(beta).  With
+    L = 2 rho chord, c_j / (3 sigma0) = (-1)^m sin(k L) / (k L), and the
+    factors below are u_out u_ret^T times (-1)^m.
+    """
     if refl is not None and not refl.is_hard:
         raise ClosedFormDeltaError(
             "the closed-form cross sections assume hard walls "
             f"(delta = pi); got delta = {refl.delta!r}"
         )
     validate_beta(WedgeGeometry.from_n(n), ion, BETA_MIN)
+    energy, k = energy_conversion(e_photon_ev, consts)
+    sigma0 = sigma_background(energy, consts)
+    two_k_rho = 2.0 * k * ion.rho
+    beta = ion.beta
+    s_xx = s_yy = 0.0
+    for i in range(n):
+        angle = i * math.pi / n
+        chord = math.sin(angle - beta) if i else math.sin(beta)
+        wave = phase_sin(two_k_rho, chord, 0.0) / (two_k_rho * chord)
+        s_xx += math.cos(angle) ** 2 * wave
+        s_yy += math.sin(angle) ** 2 * wave
+        if i:
+            # sin(i pi/n) evaluated on the folded argument, as in the catalog.
+            chord = math.sin(min(i, n - i) * math.pi / n)
+            wave = phase_sin(two_k_rho, chord, 0.0) / (two_k_rho * chord)
+            s_xx += math.cos(angle + beta) * math.cos(angle - beta) * wave
+            s_yy -= math.sin(angle + beta) * math.sin(angle - beta) * wave
+    osc = 3.0 * sigma0 * (s_xx, s_yy)[axis]
+    return SpectrumPoint.build(e_photon_ev, energy, k, sigma0, osc)
 
 
 def sigma_x_closed_form(
@@ -338,28 +371,7 @@ def sigma_x_closed_form(
 ) -> SpectrumPoint:
     """Hard-wall cross section for x polarization in a pi/N wedge, written
     without reference to the orbit catalog."""
-    _closed_form_guard(refl, n, ion)
-    energy, k = energy_conversion(e_photon_ev, consts)
-    sigma0 = sigma_background(energy, consts)
-    rho, beta = ion.rho, ion.beta
-    two_k_rho = 2.0 * k * rho
-
-    chord = math.sin(beta)
-    osc = 3.0 * sigma0 * phase_sin(two_k_rho, chord, 0.0) / (two_k_rho * chord)
-    for i in range(1, n):
-        angle = i * math.pi / n
-        chord = math.sin(angle - beta)
-        osc += (
-            3.0 * sigma0 * math.cos(angle) ** 2
-            * phase_sin(two_k_rho, chord, 0.0) / (two_k_rho * chord)
-        )
-        # sin(i pi/n) evaluated on the folded argument, as in the catalog.
-        chord = math.sin(min(i, n - i) * math.pi / n)
-        osc += (
-            3.0 * sigma0 * math.cos(angle + beta) * math.cos(angle - beta)
-            * phase_sin(two_k_rho, chord, 0.0) / (two_k_rho * chord)
-        )
-    return SpectrumPoint.build(e_photon_ev, energy, k, sigma0, osc)
+    return _closed_form(e_photon_ev, n, ion, consts, refl, 0)
 
 
 def sigma_y_closed_form(
@@ -370,27 +382,7 @@ def sigma_y_closed_form(
     refl: ReflectionModel | None = None,
 ) -> SpectrumPoint:
     """Hard-wall cross section for y polarization in a pi/N wedge."""
-    _closed_form_guard(refl, n, ion)
-    energy, k = energy_conversion(e_photon_ev, consts)
-    sigma0 = sigma_background(energy, consts)
-    rho, beta = ion.rho, ion.beta
-    two_k_rho = 2.0 * k * rho
-
-    osc = 0.0
-    for i in range(1, n):
-        angle = i * math.pi / n
-        chord = math.sin(angle - beta)
-        osc += (
-            3.0 * sigma0 * math.sin(angle) ** 2
-            * phase_sin(two_k_rho, chord, 0.0) / (two_k_rho * chord)
-        )
-        # sin(i pi/n) evaluated on the folded argument, as in the catalog.
-        chord = math.sin(min(i, n - i) * math.pi / n)
-        osc -= (
-            3.0 * sigma0 * math.sin(angle + beta) * math.sin(angle - beta)
-            * phase_sin(two_k_rho, chord, 0.0) / (two_k_rho * chord)
-        )
-    return SpectrumPoint.build(e_photon_ev, energy, k, sigma0, osc)
+    return _closed_form(e_photon_ev, n, ion, consts, refl, 1)
 
 
 def sigma_z_closed_form(

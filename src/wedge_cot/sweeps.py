@@ -98,9 +98,14 @@ def _base_meta(
     return meta
 
 
+def _validate_steps(**counts: int):
+    for name, steps in counts.items():
+        if not (isinstance(steps, int) and steps >= 2):
+            raise GridError(f"{name} must be an integer >= 2, got {steps!r}")
+
+
 def _validate_grid(start: float, stop: float, steps: int):
-    if not (isinstance(steps, int) and steps >= 2):
-        raise GridError(f"steps must be an integer >= 2, got {steps!r}")
+    _validate_steps(steps=steps)
     if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
         raise GridError(f"need start < stop, got [{start!r}, {stop!r}]")
 
@@ -288,8 +293,7 @@ def polarization_map(
 ) -> Dataset:
     """sigma_osc over the polarization sphere: theta_L in [0, pi] inclusive,
     phi_L uniform on [0, 2 pi) without the duplicate endpoint."""
-    if theta_steps < 2 or phi_steps < 2:
-        raise GridError("theta_steps and phi_steps must each be >= 2")
+    _validate_steps(theta_steps=theta_steps, phi_steps=phi_steps)
     validate_beta(wedge, ion, BETA_MIN)
     energy, k = energy_conversion(e_photon_ev, consts)
     prefactor = 3.0 * sigma_background(energy, consts) / k

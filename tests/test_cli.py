@@ -166,10 +166,16 @@ def test_below_threshold_exit_2(capsys):
 
 
 def test_unknown_flag_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["orbits", "--frequency", "12"])
-    assert exc.value.code == 2
-    assert "usage" in capsys.readouterr().err
+    # --max-reflections is gone: a budget below 2N - 1 dropped closed
+    # orbits without notice.
+    for argv in (["orbits", "--frequency", "12"],
+                 ["orbits", "--orbit-source", "numeric", "--max-reflections", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage" in captured.err
+        assert captured.out == ""
 
 
 def test_unwritable_output_exit_3(capsys):

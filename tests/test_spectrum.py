@@ -18,7 +18,7 @@ from wedge_cot.errors import (
     ValidationError,
     ZeroLengthOrbitError,
 )
-from wedge_cot.geometry import IonPosition, WedgeGeometry
+from wedge_cot.geometry import BETA_MIN, IonPosition, WedgeGeometry
 from wedge_cot.orbits import enumerate_analytic
 from wedge_cot.spectrum import (
     Polarization,
@@ -291,6 +291,16 @@ def test_closed_forms_match_orbit_sum(wedge5, ion_ref, hard):
         (5, IonPosition(200.0, math.pi / 15)),
         (8, IonPosition(92.0, 0.3)),
     ]
+    # Every N up to 8, across the guard band and out to large rho.
+    for n in range(1, 9):
+        alpha = math.pi / n
+        cases += [
+            (n, IonPosition(57.0, 0.1 * alpha)),
+            (n, IonPosition(410.0, 0.5 * alpha)),
+            (n, IonPosition(1234.5, 0.93 * alpha)),
+            (n, IonPosition(300.0, BETA_MIN)),
+            (n, IonPosition(300.0, alpha - BETA_MIN)),
+        ]
     for n, ion in cases:
         wedge = WedgeGeometry.from_n(n)
         for e in np.linspace(0.79, 1.38, 10):

@@ -16,7 +16,14 @@ from wedge_cot.errors import (
     ZeroLengthOrbitError,
 )
 from wedge_cot.geometry import BETA_MIN, IonPosition, WedgeGeometry
-from wedge_cot.spectrum import Polarization, ReflectionModel, sigma_total
+from wedge_cot.spectrum import (
+    Polarization,
+    ReflectionModel,
+    energy_conversion,
+    orbit_catalog,
+    sigma_background,
+    sigma_total,
+)
 from wedge_cot.sweeps import (
     Dataset,
     _linspace,
@@ -314,3 +321,38 @@ def test_polarization_map_negation_symmetry(wedge5, ion_ref, hard):
 def test_polarization_map_grid_validation(wedge5, ion_ref, hard):
     with pytest.raises(GridError):
         polarization_map(1, 8, 1.0, wedge5, ion_ref, hard)
+    with pytest.raises(GridError, match="theta_steps must be an integer"):
+        polarization_map(3.0, 4, 1.0, wedge5, ion_ref, hard)
+    with pytest.raises(GridError, match="phi_steps must be an integer"):
+        polarization_map(4, 2.5, 1.0, wedge5, ion_ref, hard)
+
+
+@pytest.mark.parametrize("source", ["analytic", "numeric"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_polarization_map_is_one_tensor_quadratic_form(n, source):
+    """Every cell is sin^2(theta_L) e^T S e with e = (cos phi_L, sin phi_L)
+    and S = sum_j c_j u_out,j u_ret,j^T built here from the catalog, so on
+    the equator sigma_x + sigma_y = tr S, and sigma_osc = 0 at theta_L = 0."""
+    wedge = WedgeGeometry.from_n(n)
+    ion = IonPosition(150.0, 0.37 * math.pi / n)
+    catalog = orbit_catalog(wedge, ion, source)
+    energy, k = energy_conversion(1.0)
+    sigma0 = sigma_background(energy)
+    for refl in (ReflectionModel.hard(), ReflectionModel.soft()):
+        tensor = sum(
+            3.0 * sigma0 / k * math.sin(k * o.length - o.m * refl.delta) / o.length
+            * np.outer([math.cos(o.phi_out), math.sin(o.phi_out)],
+                       [math.cos(o.phi_ret), math.sin(o.phi_ret)])
+            for o in catalog
+        )
+        tol = 1e-12 * np.abs(tensor).sum()
+        ds = polarization_map(9, 8, 1.0, wedge, ion, refl, orbit_source=source)
+        cells = {(theta, phi): osc for theta, phi, osc in ds.rows}
+        for (theta, phi), osc in cells.items():
+            e = np.array([math.cos(phi), math.sin(phi)])
+            assert abs(osc - math.sin(theta) ** 2 * (e @ tensor @ e)) <= tol
+            if theta == 0.0:
+                assert osc == 0.0
+        equator = math.pi / 2
+        sum_rule = cells[equator, 0.0] + cells[equator, equator]
+        assert abs(sum_rule - np.trace(tensor)) <= tol
