@@ -11,6 +11,10 @@ with their time-reversed partners j <-> 2N-j.  Every orbit has length
 L = 2 rho |sin(phi_out - beta)| and bounces m = min(j, 2N-j) times.
 ``exact_catalog`` keeps these angles as exact Fractions of pi; the float
 ``enumerate_analytic`` rounds each p pi/(2N) once, by the int division p/2N.
+It evaluates ``_template(n)``, which holds everything free of rho and beta:
+m, the odd-j angles, the even-j angles less beta and the even-j chords.
+Position sweeps take the template once and re-evaluate only the half of it
+that moves with rho or beta.
 
 For arbitrary opening angles the catalog is found by shooting: scan launch
 azimuths across the interior fan, record the signed miss distance at each
@@ -130,9 +134,66 @@ def exact_catalog(n: int, beta_over_pi: Fraction) -> list[ExactOrbit]:
     return orbits
 
 
+def _j_order(odd: list, even: list) -> list:
+    """Merge the odd-j and even-j halves into j order: j = 1, 2, 3, ..."""
+    merged = [None] * (len(odd) + len(even))
+    merged[0::2], merged[1::2] = odd, even
+    return merged
+
+
+@dataclass(frozen=True)
+class _Template:
+    """The rho- and beta-free constants of the pi/N catalog, one half per
+    parity of j.  Odd-j orbits keep their angles and move their chords with
+    beta; even-j orbits keep their chords and shift their angles by beta.
+    Every length is 2 rho times the chord, so rho never enters.
+
+    The fields are lists on purpose: built once per sweep from generators,
+    tuples kept CPython's tuple free lists growing, and a loop of sweeps
+    grew by megabytes of resident memory.
+    """
+
+    m: list[int]  # j order
+    odd_angles: list[tuple[float, float]]  # (phi_out, phi_ret)
+    even_bases: list[tuple[float, float]]  # the same, less beta, unwrapped
+    even_chords: list[float]
+
+    def odd_chords(self, beta: float) -> list[float]:
+        # sin argument lies in (0, pi): the |.| is a formality.
+        return [abs(math.sin(phi_out - beta)) for phi_out, _ in self.odd_angles]
+
+    def even_angles(self, beta: float) -> list[tuple[float, float]]:
+        return [(out + beta, (ret + beta) % TWO_PI) for out, ret in self.even_bases]
+
+    def chords(self, beta: float) -> list[float]:
+        return _j_order(self.odd_chords(beta), self.even_chords)
+
+    def angles(self, beta: float) -> list[tuple[float, float]]:
+        return _j_order(self.odd_angles, self.even_angles(beta))
+
+
+def _template(n: int) -> _Template:
+    two_n = 2 * n  # every angle is a multiple of pi/(2N), plus beta for even j
+    odd, even = range(1, two_n, 2), range(2, two_n, 2)
+    odd_angles = [
+        ((j + 1) / two_n * math.pi,
+         (((j + 1 + two_n) % (2 * two_n)) / two_n * math.pi) % TWO_PI)
+        for j in odd
+    ]
+    # Even j: phi_ret is the returning momentum of the time-reversed partner,
+    # plus pi, and stays below 2*pi because beta < pi/N.
+    even_bases = [(j / two_n * math.pi, (2 * two_n - j) / two_n * math.pi)
+                  for j in even]
+    # m pi/(2N) gives partners j <-> 2N-j equal length bits.
+    even_chords = [abs(math.sin(min(j, two_n - j) / two_n * math.pi)) for j in even]
+    return _Template([min(j, two_n - j) for j in range(1, two_n)],
+                     odd_angles, even_bases, even_chords)
+
+
 def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
     """Analytic catalog for a pi/N wedge: 2N-1 orbits in j order, which is
-    ascending phi_out except for beta a few ulps below pi/N (see above)."""
+    ascending phi_out except for beta a few ulps below pi/N (see above).
+    It is ``_template(n)`` evaluated at (rho, beta)."""
     _validate_n(n)
     # The j = 1 launch (1/N) pi can round below pi/N; beta must stay under
     # it too, or the j = 1 chord is zero.
@@ -141,24 +202,13 @@ def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
         raise BetaRangeError(
             f"beta={ion.beta!r} outside (0, {alpha!r}) for a pi/{n} wedge"
         )
-    two_n = 2 * n  # every angle is a multiple of pi/(2N), plus beta for even j
-    orbits = []
-    for j in range(1, two_n):
-        m = min(j, two_n - j)
-        if j % 2:
-            phi_out = (j + 1) / two_n * math.pi
-            phi_ret = ((j + 1 + two_n) % (2 * two_n)) / two_n * math.pi
-            # sin argument lies in (0, pi): the |.| is a formality.
-            chord = 2.0 * ion.rho * abs(math.sin(phi_out - ion.beta))
-        else:
-            phi_out = j / two_n * math.pi + ion.beta
-            # Returning momentum of the time-reversed partner, plus pi;
-            # stays below 2*pi because beta < pi/N.
-            phi_ret = (2 * two_n - j) / two_n * math.pi + ion.beta
-            # beta cancels; m pi/(2N) gives partners j <-> 2N-j equal length bits.
-            chord = 2.0 * ion.rho * abs(math.sin(m / two_n * math.pi))
-        orbits.append(ClosedOrbit(j, phi_out, phi_ret % TWO_PI, m, chord))
-    return orbits
+    template = _template(n)
+    return [
+        ClosedOrbit(j, phi_out, phi_ret, m, 2.0 * ion.rho * chord)
+        for j, (m, (phi_out, phi_ret), chord) in enumerate(
+            zip(template.m, template.angles(ion.beta), template.chords(ion.beta)), 1
+        )
+    ]
 
 
 #: Shooting-search resolution: launch samples per allowed reflection, the

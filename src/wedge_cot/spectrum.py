@@ -146,10 +146,16 @@ def sigma_background(
         )
     b2 = consts.b_norm * consts.b_norm
     e_b = consts.binding_energy
-    return (
-        16.0 * math.sqrt(2.0) * b2 * math.pi**2 * energy**1.5
-        / (3.0 * consts.c_light * (e_b + energy) ** 3)
-    )
+    try:
+        return (
+            16.0 * math.sqrt(2.0) * b2 * math.pi**2 * energy**1.5
+            / (3.0 * consts.c_light * (e_b + energy) ** 3)
+        )
+    except OverflowError:
+        raise ValidationError(
+            f"detached-electron energy {energy!r} hartree is too large: "
+            "its powers in the background cross section overflow"
+        ) from None
 
 
 def angular_factor(theta: float, phi: float, pol: Polarization) -> float:
@@ -157,12 +163,6 @@ def angular_factor(theta: float, phi: float, pol: Polarization) -> float:
     return math.cos(theta) * math.cos(pol.theta_L) + math.sin(theta) * math.sin(
         pol.theta_L
     ) * math.cos(phi - pol.phi_L)
-
-
-def _in_plane_factor(phi: float, pol: Polarization) -> float:
-    # angular_factor at theta = pi/2 with cos(pi/2) taken as exactly zero,
-    # so z polarization yields an identically zero orbit sum.
-    return math.sin(pol.theta_L) * math.cos(phi - pol.phi_L)
 
 
 # Double-double splitting of 2*pi, for reducing large phase arguments.
@@ -220,8 +220,10 @@ def orbit_term(
     if not (k > 0.0):
         raise ValidationError(f"k must be positive, got {k!r}")
     sigma0 = sigma_background(0.5 * k * k, consts)
+    catalog = (orbit,)
     _, (term,) = _orbit_sum(
-        3.0 * sigma0 / k, _factors((orbit,), pol), _waves(k, _paths((orbit,), refl))
+        3.0 * sigma0 / k, _factors(_angles(catalog), pol),
+        _waves(k, _paths(catalog, refl)),
     )
     return term
 
@@ -232,13 +234,21 @@ def orbit_term(
 # A sweep builds once whichever half its grid leaves fixed.
 
 
+def _angles(catalog: tuple[ClosedOrbit, ...]) -> list[tuple[float, float]]:
+    """(phi_out, phi_ret) of each orbit."""
+    return [(orbit.phi_out, orbit.phi_ret) for orbit in catalog]
+
+
 def _factors(
-    catalog: tuple[ClosedOrbit, ...], pol: Polarization
+    angles: list[tuple[float, float]], pol: Polarization
 ) -> list[tuple[float, float]]:
-    """(f_out, f_ret) of each orbit."""
+    """(f_out, f_ret) of each (phi_out, phi_ret): angular_factor at
+    theta = pi/2 with cos(pi/2) taken as exactly zero, so z polarization
+    yields an identically zero orbit sum."""
+    sin_theta, phi_l = math.sin(pol.theta_L), pol.phi_L
     return [
-        (_in_plane_factor(orbit.phi_out, pol), _in_plane_factor(orbit.phi_ret, pol))
-        for orbit in catalog
+        (sin_theta * math.cos(phi_out - phi_l), sin_theta * math.cos(phi_ret - phi_l))
+        for phi_out, phi_ret in angles
     ]
 
 
@@ -281,7 +291,8 @@ def orbit_catalog(
 ) -> tuple[ClosedOrbit, ...]:
     """Closed orbits of the ion: the pi/N enumeration for source 'analytic',
     the shooting search for 'numeric'.  Built afresh on every call; callers
-    that keep the ion fixed build it once."""
+    that keep the ion fixed build it once, and an analytic position sweep
+    builds it at its first point only."""
     if source == "analytic":
         if wedge.n_integer is None:
             raise ValidationError(
@@ -312,7 +323,8 @@ def sigma_total(
     sigma0 = sigma_background(energy, consts)
     catalog = orbit_catalog(wedge, ion, orbit_source)
     sigma_osc, _ = _orbit_sum(
-        3.0 * sigma0 / k, _factors(catalog, pol), _waves(k, _paths(catalog, refl))
+        3.0 * sigma0 / k, _factors(_angles(catalog), pol),
+        _waves(k, _paths(catalog, refl)),
     )
     return SpectrumPoint.build(e_photon_ev, energy, k, sigma0, sigma_osc)
 

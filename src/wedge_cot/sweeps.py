@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from .constants import DEFAULT_CONSTANTS, VERSION, PhysicalConstants
 from .errors import BelowThresholdError, GridError, ValidationError
 from .geometry import BETA_MIN, IonPosition, WedgeGeometry, validate_beta
+from .orbits import _template
 from .spectrum import (
     Polarization,
     ReflectionModel,
+    _angles,
     _factors,
     _orbit_sum,
     _paths,
@@ -133,7 +135,7 @@ def _energy_grid(
         )
     validate_beta(wedge, ion, BETA_MIN)
     catalog = orbit_catalog(wedge, ion, orbit_source)
-    factors, paths = _factors(catalog, pol), _paths(catalog, refl)
+    factors, paths = _factors(_angles(catalog), pol), _paths(catalog, refl)
     points = []
     for e_ph in _linspace(start_ev, stop_ev, steps):
         energy, k = energy_conversion(e_ph, consts)
@@ -223,6 +225,12 @@ def position_sweep(
     ``variable`` picks the swept coordinate; the other one is taken from
     ``ion``.  Beta sweeps must stay inside the guard band
     [BETA_MIN, alpha - BETA_MIN].
+
+    The numeric source builds a catalog at every point.  The analytic one
+    builds a catalog at the first point and the orbit template once; then
+    a rho sweep recomputes only the waves, and a beta sweep only the odd-j
+    waves and the even-j polarization factors.  Rows equal per-point
+    ``sigma_total`` bit for bit.
     """
     _validate_grid(start, stop, steps)
     if variable not in POSITION_VARIABLES:
@@ -242,30 +250,48 @@ def position_sweep(
     sigma0 = sigma_background(energy, consts)
     prefactor = 3.0 * sigma0 / k
 
-    def catalog_at(value: float):
+    def from_catalog(value: float):
         moved = (IonPosition(value, ion.beta) if variable == "rho"
                  else IonPosition(ion.rho, value))
-        return orbit_catalog(wedge, moved, orbit_source)
+        catalog = orbit_catalog(wedge, moved, orbit_source)
+        return _factors(_angles(catalog), pol), _waves(k, _paths(catalog, refl))
 
-    scaled = variable == "rho" and orbit_source == "analytic"
-    if scaled:
-        # An analytic length is 2.0 * rho * |sin(x)| with x free of rho, so
-        # the catalog at rho = 0.5 holds the |sin(x)|, and 2.0 * rho times
-        # each is the length at rho bit for bit.
-        half = catalog_at(0.5)
-        factors, chords = _factors(half, pol), _paths(half, refl)
-        shortest = min(chord for chord, _ in chords)
-    rows = []
-    for value in _linspace(start, stop, steps):
-        if scaled and 0.0 < 2.0 * value * shortest < math.inf:
-            paths = [(2.0 * value * chord, shift) for chord, shift in chords]
+    def row(value, factors, waves):
+        sigma_osc, _ = _orbit_sum(prefactor, factors, waves)
+        return (value, sigma0, sigma_osc, sigma0 + sigma_osc)
+
+    # The first point comes from its catalog, so it fails as a per-point
+    # catalog would.  An analytic sweep then keeps the half of its lists that
+    # the template says stays fixed and recomputes only the other half.
+    grid = _linspace(start, stop, steps)
+    factors, waves = from_catalog(grid[0])
+    rows = [row(grid[0], factors, waves)]
+    if orbit_source == "analytic":
+        template = _template(wedge.n_integer)
+        if variable == "rho":
+            # Every length moves with rho, no angle does.
+            moving, chords = slice(None), template.chords(ion.beta)
         else:
-            # A length that would leave the float range is the catalog's to
-            # reject; beta sweeps and numeric catalogs change every orbit.
-            catalog = catalog_at(value)
-            factors, paths = _factors(catalog, pol), _paths(catalog, refl)
-        sigma_osc, _ = _orbit_sum(prefactor, factors, _waves(k, paths))
-        rows.append((value, sigma0, sigma_osc, sigma0 + sigma_osc))
+            # Odd-j lengths (slots 0, 2, ...) and even-j angles (1, 3, ...)
+            # move with beta.
+            moving = slice(0, None, 2)
+        shifts = [m * refl.delta for m in template.m][moving]
+    for value in grid[1:]:
+        if orbit_source == "analytic" and variable == "beta":
+            chords = template.odd_chords(value)
+        # Each moving length is 2 rho times a chord in (0, 1], so the
+        # shortest says whether all stay in (0, inf); the fixed ones passed
+        # at the first point.  A length outside is the catalog's to reject.
+        scale = 2.0 * (value if variable == "rho" else ion.rho)
+        if orbit_source == "analytic" and 0.0 < scale * min(chords) < math.inf:
+            waves[moving] = _waves(
+                k, [(scale * chord, shift) for chord, shift in zip(chords, shifts)]
+            )
+            if variable == "beta":
+                factors[1::2] = _factors(template.even_angles(value), pol)
+        else:
+            factors, waves = from_catalog(value)
+        rows.append(row(value, factors, waves))
     meta = _base_meta(
         "position_sweep", wedge, consts,
         variable=variable,
@@ -298,12 +324,12 @@ def polarization_map(
     energy, k = energy_conversion(e_photon_ev, consts)
     prefactor = 3.0 * sigma_background(energy, consts) / k
     catalog = orbit_catalog(wedge, ion, orbit_source)
-    waves = _waves(k, _paths(catalog, refl))
+    angles, waves = _angles(catalog), _waves(k, _paths(catalog, refl))
     phis = _linspace(0.0, 2.0 * math.pi, phi_steps, endpoint=False)
     rows = []
     for theta in _linspace(0.0, math.pi, theta_steps):
         for phi in phis:
-            factors = _factors(catalog, Polarization(theta, phi))
+            factors = _factors(angles, Polarization(theta, phi))
             rows.append((theta, phi, _orbit_sum(prefactor, factors, waves)[0]))
     meta = _base_meta(
         "polarization_map", wedge, consts,

@@ -158,6 +158,21 @@ def test_extreme_lengths_exit_2_and_say_why(argv, message, capsys):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--e-min", "1", "--e-max", "1e300"],
+    ["sweep-rho", "--e-photon", "1e200"],
+    ["sweep-beta", "--e-photon", "1e300"],
+    ["polmap", "--e-photon", "1e300"],
+])
+def test_huge_photon_energy_exit_2(argv, capsys):
+    # The background cross section's E**1.5 or (E_b + E)**3 overflows.
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[invalid-input] detached-electron energy ")
+    assert err.count("\n") == 1
+
+
 def test_below_threshold_exit_2(capsys):
     assert main(["spectrum", "--e-min", "0.1", "--e-max", "1.4",
                  "--steps", "16"]) == 2

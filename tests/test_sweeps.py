@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wedge_cot.errors import (
@@ -182,6 +182,50 @@ def test_decomposition_total_matches_sigma_total(hard):
                     assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)
 
 
+def _band(n):
+    return BETA_MIN, WedgeGeometry.from_n(n).opening_angle - BETA_MIN
+
+
+# (N, beta, beta') with both betas anywhere in the guard band.
+_band_betas = st.integers(1, 200).flatmap(lambda n: st.tuples(
+    st.just(n), st.floats(*_band(n)), st.floats(*_band(n))))
+_exponents = st.floats(-3.0, 12.0)
+_edge_args = dict(exps=(2.0, -3.0, 12.0), soft=False, theta=1.0, phi=0.3,
+                  steps=32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_band_betas, exps=st.tuples(_exponents, _exponents, _exponents),
+       soft=st.booleans(), theta=st.floats(0.0, math.pi),
+       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       steps=st.integers(2, 32))
+@example(case=(1, *_band(1)), **_edge_args)      # alpha = pi
+@example(case=(200, *_band(200)), **_edge_args)  # both guard-band edges
+@example(case=(7, *_band(7)), exps=(12.0, -3.0, 12.0), soft=True,  # k L > 2**32
+         theta=0.5 * math.pi, phi=0.0, steps=2)
+def test_position_sweep_rows_are_per_point_sigma_total(case, exps, soft, theta,
+                                                       phi, steps):
+    """The analytic template, evaluated per point, gives every rho and beta
+    row of per-point sigma_total bit for bit, for N = 1..200 and rho from
+    1e-3 to 1e12 bohr."""
+    n, beta_a, beta_b = case
+    rho, *rhos = (10.0**e for e in exps)
+    assume(beta_a != beta_b and rhos[0] != rhos[1])
+    wedge = WedgeGeometry.from_n(n)
+    betas = sorted((beta_a, beta_b))
+    ion = IonPosition(rho, betas[0])
+    pol = Polarization(theta, phi)
+    refl = ReflectionModel.soft() if soft else ReflectionModel.hard()
+    for variable, ends, at in (
+        ("rho", sorted(rhos), lambda v: IonPosition(v, ion.beta)),
+        ("beta", betas, lambda v: IonPosition(ion.rho, v)),
+    ):
+        for row in position_sweep(variable, *ends, steps, 1.0, wedge, ion,
+                                  pol, refl).rows:
+            p = sigma_total(1.0, wedge, at(row[0]), pol, refl)
+            assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)
+
+
 def test_decomposition_short_orbit_dominates(wedge5, ion_ref, hard):
     # 1/L weighting: the first orbit's envelope tops the bisector orbit's.
     ds = orbit_decomposition(0.76, 1.4, 512, wedge5, ion_ref,
@@ -277,6 +321,14 @@ def test_position_sweep_at_extreme_lengths_names_the_problem(wedge5, ion_ref,
     with pytest.raises(ZeroLengthOrbitError, match="got inf"):
         position_sweep("beta", *band, 16, 1.0, wedge5,
                        IonPosition(1e308, ion_ref.beta), x, hard)
+    # A beta sweep names the first orbit in j order that fails, as a
+    # catalog at every point would: the j = 1 length, then a length that
+    # rounds to zero.
+    with pytest.raises(ValidationError, match=r"L = 1\.901494047648126e\+300"):
+        position_sweep("beta", *band, 16, 1.0, wedge5, far, x, hard)
+    with pytest.raises(ZeroLengthOrbitError, match="got 0.0"):
+        position_sweep("beta", *band, 16, 1.0, wedge5,
+                       IonPosition(1e-323, ion_ref.beta), x, hard)
 
 
 # -------------------------------------------------------- polarization map
