@@ -1,24 +1,28 @@
 """Catalogs of closed orbits: trajectories leaving the ion and returning to it.
 
-For a wedge of opening angle pi/N the catalog is analytic: there are exactly
-2N-1 closed orbits, indexed j = 1..2N-1 and listed in j order.  That is the
-order of ascending launch azimuth, except in floats when beta is a few ulps
-below pi/N: an even-j launch j pi/(2N) + beta can then round one ulp above
-the next odd one, (j+2) pi/(2N), and the catalog stays in j order.  Odd-j
-orbits leave at phi_out = (j+1)pi/(2N), retrace themselves, and return
-antiparallel; even-j orbits leave at phi_out = j pi/(2N) + beta and pair up
-with their time-reversed partners j <-> 2N-j.  Every orbit has length
-L = 2 rho |sin(phi_out - beta)| and bounces m = min(j, 2N-j) times.
-``exact_catalog`` keeps these angles as exact Fractions of pi; the float
-``enumerate_analytic`` rounds each p pi/(2N) once, by the int division p/2N.
-It evaluates ``_template(n)``, which holds everything free of rho and beta:
-m, the odd-j angles, the even-j angles less beta and the even-j chords.
-Position sweeps take the template once and re-evaluate only the half of it
-that moves with rho or beta.
+The pi/N catalogs come from the method of images.  Unfold the wedge about
+its surfaces and measure angles from the left one: the ion sits at beta, its
+image i != 0 at i alpha + beta for even i and (i+1) alpha - beta for odd i.
+The line to image i folds back into a closed orbit with m = |i| bounces and
+length L = 2 rho |sin(Delta_i / 2)| when the image's angle Delta_i from the
+ion is at most pi.  ``_image`` writes its launch and return azimuths once:
+odd-i orbits retrace themselves, even-i ones pair with their time-reversed
+partners i <-> -i.
+
+A pi/N wedge has the 2N-1 images i = 1..N, -(N-1)..-1, indexed j = 1..2N-1
+(j = i mod 2N) and listed in j order.  That is ascending phi_out, except in
+floats when beta is a few ulps below pi/N: an even-j launch j pi/(2N) + beta
+can then round one ulp above the next odd one.  Its angles are integer
+numerators over 2N, plus beta for even j, so its count needs no Delta = pi
+test.  ``exact_catalog`` keeps them as exact Fractions of pi;
+``enumerate_analytic`` evaluates ``_template(n)``, which rounds each
+p pi/(2N) once and holds everything free of rho and beta, so position sweeps
+re-evaluate only the half that moves.
 
 For arbitrary opening angles the catalog is found by shooting: scan launch
 azimuths across the interior fan, record the signed miss distance at each
-closest approach to the ion, and bisect the sign changes.
+closest approach to the ion, and bisect the sign changes.  The tests check
+it against the same images in radians.
 """
 
 from __future__ import annotations
@@ -107,6 +111,21 @@ def _validate_n(n: int):
         raise ValidationError(f"N must be a positive integer, got {n!r}")
 
 
+def _image(i: int, half_alpha, pi) -> tuple:
+    """(phi_out, phi_ret) of the orbit to image i, unwrapped and less beta
+    when i is even, in units where the opening angle is 2 half_alpha and a
+    half turn is pi: integer numerators over 2N at pi/N, radians otherwise.
+    An orbit to an image at a lower angle (i < 0) leaves turned by pi; an odd
+    one returns reversed, an even one turned back by i opening angles."""
+    out = (i + i % 2) * half_alpha - (pi if i < 0 else 0)
+    return out, (out + pi if i % 2 else out - 2 * i * half_alpha)
+
+
+def _pi_n_images(n: int) -> list[int]:
+    """The 2N-1 images of a pi/N wedge in j order; +-N is one orbit."""
+    return [*range(1, n + 1), *range(1 - n, 0)]
+
+
 def exact_catalog(n: int, beta_over_pi: Fraction) -> list[ExactOrbit]:
     """Analytic catalog for a pi/N wedge with beta an exact fraction of pi.
 
@@ -119,18 +138,16 @@ def exact_catalog(n: int, beta_over_pi: Fraction) -> list[ExactOrbit]:
         raise BetaRangeError(
             f"beta must lie in (0, pi/{n}), got {beta_over_pi} * pi"
         )
+    two_n = 2 * n
     orbits = []
-    for j in range(1, 2 * n):
-        m = j if j <= n else 2 * n - j
-        if j % 2:
-            out = Fraction(j + 1, 2 * n)
-            ret = (out + 1) % 2
+    for j, i in enumerate(_pi_n_images(n), 1):
+        out, ret = (Fraction(p, two_n) % 2 for p in _image(i, 1, two_n))
+        if i % 2:
             chord = out - beta_over_pi
-        else:
-            out = Fraction(j, 2 * n) + beta_over_pi
-            ret = Fraction(2 * n - j, 2 * n) + beta_over_pi + 1
-            chord = Fraction(j, 2 * n)
-        orbits.append(ExactOrbit(j, out, ret % 2, m, chord))
+        else:  # the table prints the even chord unfolded, as j/2N
+            out, ret = out + beta_over_pi, (ret + beta_over_pi) % 2
+            chord = Fraction(j, two_n)
+        orbits.append(ExactOrbit(j, out, ret, abs(i), chord))
     return orbits
 
 
@@ -174,20 +191,12 @@ class _Template:
 
 def _template(n: int) -> _Template:
     two_n = 2 * n  # every angle is a multiple of pi/(2N), plus beta for even j
-    odd, even = range(1, two_n, 2), range(2, two_n, 2)
-    odd_angles = [
-        ((j + 1) / two_n * math.pi,
-         (((j + 1 + two_n) % (2 * two_n)) / two_n * math.pi) % TWO_PI)
-        for j in odd
-    ]
-    # Even j: phi_ret is the returning momentum of the time-reversed partner,
-    # plus pi, and stays below 2*pi because beta < pi/N.
-    even_bases = [(j / two_n * math.pi, (2 * two_n - j) / two_n * math.pi)
-                  for j in even]
+    images = _pi_n_images(n)
+    angles = [tuple(p % (2 * two_n) / two_n * math.pi % TWO_PI
+                    for p in _image(i, 1, two_n)) for i in images]
     # m pi/(2N) gives partners j <-> 2N-j equal length bits.
-    even_chords = [abs(math.sin(min(j, two_n - j) / two_n * math.pi)) for j in even]
-    return _Template([min(j, two_n - j) for j in range(1, two_n)],
-                     odd_angles, even_bases, even_chords)
+    even_chords = [abs(math.sin(abs(i) / two_n * math.pi)) for i in images[1::2]]
+    return _Template([abs(i) for i in images], angles[0::2], angles[1::2], even_chords)
 
 
 def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
@@ -254,9 +263,11 @@ def find_numeric(
     it, closer than one scan step, so the scan adds a launch a hair to each
     side and refines the bracket between those two only at pi/N, where it
     holds the orbit through the apex (j = N of even N, the N = 1 mirror
-    orbit).  Within about 3e-9 (relative) of a pi/N one orbit of that pair
-    can still be lost: it grazes the apex, where apex diffraction (Keller,
-    J. Opt. Soc. Am. 52, 116 (1962)) takes over from the orbit sum.
+    orbit).  Within about 3e-9 (relative) below a pi/N the pair's launches
+    merge within DEDUPE_TOLERANCE; both graze the apex, where diffraction
+    (Keller, J. Opt. Soc. Am. 52, 116 (1962)) takes over from the orbit
+    sum.  Orbits launched within about two scan steps of each other (an ion
+    that close to a wall) can share a bracket and be lost.
     """
     start = ion_cartesian(wedge, ion)
     return_radius = RETURN_RADIUS * ion.rho

@@ -147,15 +147,17 @@ def sigma_background(
     b2 = consts.b_norm * consts.b_norm
     e_b = consts.binding_energy
     try:
-        return (
-            16.0 * math.sqrt(2.0) * b2 * math.pi**2 * energy**1.5
-            / (3.0 * consts.c_light * (e_b + energy) ** 3)
-        )
+        if energy < math.inf:  # inf**1.5 / inf**3 would be nan
+            return (
+                16.0 * math.sqrt(2.0) * b2 * math.pi**2 * energy**1.5
+                / (3.0 * consts.c_light * (e_b + energy) ** 3)
+            )
     except OverflowError:
-        raise ValidationError(
-            f"detached-electron energy {energy!r} hartree is too large: "
-            "its powers in the background cross section overflow"
-        ) from None
+        pass
+    raise ValidationError(
+        f"detached-electron energy {energy!r} hartree is too large: "
+        "its powers in the background cross section overflow"
+    )
 
 
 def angular_factor(theta: float, phi: float, pol: Polarization) -> float:
@@ -289,22 +291,24 @@ def orbit_catalog(
     ion: IonPosition,
     source: str = "analytic",
 ) -> tuple[ClosedOrbit, ...]:
-    """Closed orbits of the ion: the pi/N enumeration for source 'analytic',
-    the shooting search for 'numeric'.  Built afresh on every call; callers
-    that keep the ion fixed build it once, and an analytic position sweep
-    builds it at its first point only."""
-    if source == "analytic":
-        if wedge.n_integer is None:
-            raise ValidationError(
-                "the analytic orbit catalog requires an opening angle pi/N; "
-                "use the numeric orbit source for this wedge"
-            )
+    """Closed orbits of the ion.  A pi/N wedge gets the image enumeration
+    ``enumerate_analytic`` from either source, so 'numeric' equals
+    'analytic' there bit for bit; any other opening angle takes the
+    shooting search, and only from source 'numeric'.  Built afresh on every
+    call; callers that keep the ion fixed build it once, and a position
+    sweep on a pi/N wedge builds it at its first point only."""
+    if source not in ORBIT_SOURCES:
+        raise ValidationError(
+            f"orbit_source must be one of {ORBIT_SOURCES}, got {source!r}"
+        )
+    if wedge.n_integer is not None:
         return tuple(enumerate_analytic(wedge.n_integer, ion))
-    if source == "numeric":
-        return tuple(find_numeric(wedge, ion, default_search_config(wedge)))
-    raise ValidationError(
-        f"orbit_source must be one of {ORBIT_SOURCES}, got {source!r}"
-    )
+    if source == "analytic":
+        raise ValidationError(
+            "the analytic orbit catalog requires an opening angle pi/N; "
+            "use the numeric orbit source for this wedge"
+        )
+    return tuple(find_numeric(wedge, ion, default_search_config(wedge)))
 
 
 def sigma_total(

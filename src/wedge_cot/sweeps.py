@@ -226,11 +226,11 @@ def position_sweep(
     ``ion``.  Beta sweeps must stay inside the guard band
     [BETA_MIN, alpha - BETA_MIN].
 
-    The numeric source builds a catalog at every point.  The analytic one
-    builds a catalog at the first point and the orbit template once; then
-    a rho sweep recomputes only the waves, and a beta sweep only the odd-j
-    waves and the even-j polarization factors.  Rows equal per-point
-    ``sigma_total`` bit for bit.
+    A pi/N wedge, from either orbit source, builds a catalog at the first
+    point and the orbit template once; then a rho sweep recomputes only the
+    waves, and a beta sweep only the odd-j waves and the even-j polarization
+    factors.  Any other wedge runs the shooting search at every point.
+    Rows equal per-point ``sigma_total`` bit for bit.
     """
     _validate_grid(start, stop, steps)
     if variable not in POSITION_VARIABLES:
@@ -261,12 +261,12 @@ def position_sweep(
         return (value, sigma0, sigma_osc, sigma0 + sigma_osc)
 
     # The first point comes from its catalog, so it fails as a per-point
-    # catalog would.  An analytic sweep then keeps the half of its lists that
+    # catalog would.  A pi/N sweep then keeps the half of its lists that
     # the template says stays fixed and recomputes only the other half.
     grid = _linspace(start, stop, steps)
     factors, waves = from_catalog(grid[0])
     rows = [row(grid[0], factors, waves)]
-    if orbit_source == "analytic":
+    if wedge.n_integer:
         template = _template(wedge.n_integer)
         if variable == "rho":
             # Every length moves with rho, no angle does.
@@ -277,13 +277,13 @@ def position_sweep(
             moving = slice(0, None, 2)
         shifts = [m * refl.delta for m in template.m][moving]
     for value in grid[1:]:
-        if orbit_source == "analytic" and variable == "beta":
+        if wedge.n_integer and variable == "beta":
             chords = template.odd_chords(value)
         # Each moving length is 2 rho times a chord in (0, 1], so the
         # shortest says whether all stay in (0, inf); the fixed ones passed
         # at the first point.  A length outside is the catalog's to reject.
         scale = 2.0 * (value if variable == "rho" else ion.rho)
-        if orbit_source == "analytic" and 0.0 < scale * min(chords) < math.inf:
+        if wedge.n_integer and 0.0 < scale * min(chords) < math.inf:
             waves[moving] = _waves(
                 k, [(scale * chord, shift) for chord, shift in zip(chords, shifts)]
             )

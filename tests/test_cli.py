@@ -163,14 +163,43 @@ def test_extreme_lengths_exit_2_and_say_why(argv, message, capsys):
     ["sweep-rho", "--e-photon", "1e200"],
     ["sweep-beta", "--e-photon", "1e300"],
     ["polmap", "--e-photon", "1e300"],
+    ["sweep-rho", "--e-photon", "inf"],
+    ["sweep-beta", "--e-photon", "inf"],
+    ["polmap", "--e-photon", "inf"],
 ])
 def test_huge_photon_energy_exit_2(argv, capsys):
-    # The background cross section's E**1.5 or (E_b + E)**3 overflows.
+    # The background cross section's E**1.5 or (E_b + E)**3 overflows, or
+    # is inf / inf.
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error[invalid-input] detached-electron energy ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["orbits"],
+    ["spectrum", "--steps", "64"],
+    ["sweep-rho", "--steps", "64"],
+    ["sweep-beta", "--steps", "64"],
+    ["polmap", "--theta-steps", "5", "--phi-steps", "8"],
+])
+def test_numeric_source_runs_without_the_shooting_search_at_pi_over_n(
+        command, monkeypatch, capsys):
+    # On a pi/N wedge the numeric catalog is the analytic one: neither the
+    # shooting search nor the ray tracer runs.
+    import wedge_cot.sweeps  # noqa: F401  (bind every name before patching)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the numeric orbit source ran the shooting search")
+
+    for name in ("find_numeric", "trace"):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("wedge_cot") and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert main([*command, "--n", "5", "--orbit-source", "numeric"]) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
 
 
 def test_below_threshold_exit_2(capsys):

@@ -38,9 +38,9 @@ GOLDEN = {
     "polmap --format json":
         "394666b31847563b49aa191e8b87998d17f7725b7a006258f1addf9946b14ec4",
     "orbits --orbit-source numeric":
-        "b4f68156a27147295c0788d789e77f5c2c7b8b2dfd5eb5c17d147eb3d6dfd391",
+        "4c92415dabb1a15788d58dc12e5aee06ab647a5cc5529f45a3ea86e2a0b45df3",
     "sweep-rho --orbit-source numeric --steps 16 --format csv":
-        "1360065ee53655f556c22efd0ec8f007521b109bcc21e131c097ecbe193fd68f",
+        "9c89a69d1885e260b056b87440cef9e661893aba94a3c3219ccc9746a7a43b64",
 }
 
 

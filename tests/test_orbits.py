@@ -1,11 +1,12 @@
-"""Closed-orbit catalogs: the analytic pi/N enumeration and the shooting search."""
+"""Closed-orbit catalogs: the method of images at pi/N, and the shooting
+search for any opening angle, checked against the same images."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wedge_cot.errors import (
@@ -15,15 +16,27 @@ from wedge_cot.errors import (
     WedgeCotError,
     ZeroLengthOrbitError,
 )
-from wedge_cot.geometry import TWO_PI, IonPosition, WedgeGeometry, ion_cartesian, trace
+from wedge_cot.geometry import (
+    BETA_MIN,
+    TWO_PI,
+    IonPosition,
+    WedgeGeometry,
+    ion_cartesian,
+    trace,
+    validate_beta,
+    wrap_angle,
+)
 from wedge_cot.orbits import (
+    SCAN_SAMPLES_PER_REFLECTION,
     ClosedOrbit,
     OrbitSearchConfig,
+    _image,
     default_search_config,
     enumerate_analytic,
     exact_catalog,
     find_numeric,
 )
+from wedge_cot.spectrum import orbit_catalog
 
 # Reference catalog for the pi/5 wedge with beta = pi/15: every angle as an
 # exact multiple of pi, lengths as L = 2 rho |sin(chord * pi)|.
@@ -379,6 +392,8 @@ def assert_retraces(wedge, ion, catalog):
         back = [a for a in path.approaches if a.reflections == o.m][-1]
         assert back.distance <= 1e-9 * ion.rho
         np.testing.assert_allclose(back.path_length, o.length, rtol=1e-9)
+        gap = abs(back.direction_azimuth - o.phi_ret) % TWO_PI
+        assert min(gap, TWO_PI - gap) <= 1e-9
 
 
 def test_find_numeric_keeps_both_orbits_of_a_pair_just_below_pi_over_2():
@@ -410,3 +425,184 @@ def test_find_numeric_pairs_every_orbit_near_pi_over_n(n, offset, side, beta_fra
 def test_search_config_validation():
     with pytest.raises(ValidationError):
         OrbitSearchConfig(max_reflections=0)
+
+
+# ------------------------------------------------ images for any opening angle
+
+def images(wedge, ion):
+    """The catalog of the method of images for any opening angle: the orbit
+    to every image with |Delta_i| <= pi, i > 0 first, in ascending phi_out.
+    ``_image`` gives its angles in radians here; at pi/N it is the analytic
+    catalog, whose integer numerators keep the Delta = pi test exact."""
+    if wedge.n_integer:
+        return orbit_catalog(wedge, ion, "analytic")
+    validate_beta(wedge, ion)
+    alpha, beta, orbits = wedge.opening_angle, ion.beta, []
+    top = int(math.pi / alpha) + 1
+    for i in [*range(1, top + 1), *range(-top, 0)]:
+        half_delta = (i + i % 2) * alpha / 2 - (beta if i % 2 else 0.0)
+        if abs(half_delta) <= math.pi / 2:
+            shift = 0.0 if i % 2 else beta
+            out, ret = (wrap_angle(p + shift) for p in _image(i, alpha / 2, math.pi))
+            length = 2.0 * ion.rho * abs(math.sin(half_delta))
+            orbits.append(ClosedOrbit(len(orbits) + 1, out, ret, abs(i), length))
+    return orbits
+
+
+#: Where the shooting search is known to lose orbits that the images keep
+#: (and that retrace under the ray tracer), so the two are not compared:
+#: - an orbit whose |Delta| lies within SEARCH_APEX_BAND of pi launches
+#:   within half that of the apex, and the scan skips the launches within
+#:   2e-11 of it (losses seen up to |Delta| = pi - 4e-11);
+#: - within SEARCH_PI_N_BAND (relative) below a pi/N, the launches of the
+#:   m = N pair lie pi |1 - alpha N / pi| apart, and the search merges roots
+#:   closer than its 1e-8 dedupe tolerance (losses seen up to 3.2e-9);
+#: - two launches on one side of the apex closer than SEARCH_SCAN_STEPS scan
+#:   steps (beta or alpha - beta apart: the ion is near a wall) share one
+#:   bracket (losses seen up to 1.9 steps).
+SEARCH_APEX_BAND = 1e-9
+SEARCH_PI_N_BAND = 1e-8
+SEARCH_SCAN_STEPS = 4
+
+
+def half_deltas(alpha, beta):
+    """Delta_i / 2 of every image i != 0 that could close, from the image
+    positions i alpha + beta (even i) and (i+1) alpha - beta (odd i)."""
+    top = math.ceil(math.pi / alpha) + 2
+    return {i: 0.5 * ((i * alpha + beta if i % 2 == 0 else (i + 1) * alpha - beta) - beta)
+            for i in range(-top, top + 1) if i}
+
+
+def closing(alpha, beta):
+    """(m, |Delta_i| / 2) of every image with |Delta_i| <= pi, sorted, or
+    None when an image within 1e-12 of |Delta| = pi leaves it to rounding."""
+    halves = half_deltas(alpha, beta).items()
+    if any(abs(math.pi - 2.0 * abs(h)) <= 1e-12 for _, h in halves):
+        return None
+    return sorted((abs(i), abs(h)) for i, h in halves if abs(h) <= math.pi / 2)
+
+
+def in_search_band(wedge, ion):
+    alpha, beta = wedge.opening_angle, ion.beta
+    n = round(math.pi / alpha)
+    if n >= 1 and abs(alpha * n / math.pi - 1.0) < SEARCH_PI_N_BAND:
+        return True
+    halves = [h for h in half_deltas(alpha, beta).values() if abs(h) <= math.pi / 2]
+    if any(math.pi - 2.0 * abs(h) < SEARCH_APEX_BAND for h in halves):
+        return True
+    step = (2.0 * math.pi - alpha) / (
+        SCAN_SAMPLES_PER_REFLECTION * default_search_config(wedge).max_reflections)
+    for side in ([h for h in halves if h > 0], [h for h in halves if h < 0]):
+        launches = sorted(side)
+        if any(b - a < SEARCH_SCAN_STEPS * step for a, b in zip(launches, launches[1:])):
+            return True
+    return False
+
+
+def assert_matches_shooting(wedge, ion):
+    shooting = orbit_catalog(wedge, ion, "numeric")
+    reference = images(wedge, ion)
+    assert len(shooting) == len(reference)
+    for ref, got in zip(reference, shooting):
+        assert (got.index, got.m) == (ref.index, ref.m)
+        for a, b in ((got.phi_out, ref.phi_out), (got.phi_ret, ref.phi_ret)):
+            gap = abs(a - b) % TWO_PI
+            assert min(gap, TWO_PI - gap) <= 1e-9
+        assert abs(got.length - ref.length) <= 1e-9 * ref.length
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.3, math.pi), beta_frac=st.floats(0.001, 0.999),
+       rho=st.floats(0.0, 3.0).map(lambda e: 10.0**e))
+@example(alpha=math.pi / 4 * (1.0 - 2.0 * SEARCH_PI_N_BAND), beta_frac=0.46, rho=200.0)
+@example(alpha=1.0, beta_frac=math.pi / 2 - 1.0 + 1e-8, rho=200.0)
+@example(alpha=1.0, beta_frac=0.01, rho=200.0)
+def test_shooting_equals_the_images_outside_its_bands(alpha, beta_frac, rho):
+    """The numeric catalog, from the shooting search off pi/N, agrees with
+    the images to 1e-9 in count, order, m, phi_out, phi_ret and L, except
+    in the search's stated bands."""
+    wedge = WedgeGeometry.from_alpha(alpha)
+    ion = IonPosition(rho, beta_frac * alpha)
+    assume(not in_search_band(wedge, ion))
+    assert_matches_shooting(wedge, ion)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.01, math.pi), beta_frac=st.floats(0.001, 0.999),
+       rho=st.floats(1e-3, 1e8))
+def test_images_keep_the_count_law_rescaling_and_time_reversal(alpha, beta_frac, rho):
+    """The count is #{i : |Delta_i| <= pi} (2N-1 at pi/N), m = |i| and
+    L = 2 rho |sin(Delta_i / 2)|; angles do not move with rho and lengths
+    scale with it exactly; odd-m orbits retrace themselves, and every even-m
+    orbit has its time-reversed partner, with the same length bits."""
+    wedge = WedgeGeometry.from_alpha(alpha)
+    ion = IonPosition(rho, beta_frac * alpha)
+    orbits = images(wedge, ion)
+    if wedge.n_integer:
+        assert len(orbits) == 2 * wedge.n_integer - 1
+    else:
+        expected = closing(alpha, ion.beta)
+        assume(expected is not None)
+        assert len(orbits) == len(expected)
+        for o, (m, h) in zip(sorted(orbits, key=lambda o: (o.m, o.length)), expected):
+            assert o.m == m
+            assert o.length == pytest.approx(2.0 * rho * math.sin(h), rel=1e-12)
+    unit = images(wedge, IonPosition(1.0, ion.beta))
+    for got, ref in zip(orbits, unit, strict=True):
+        assert (got.phi_out, got.phi_ret, got.m) == (ref.phi_out, ref.phi_ret, ref.m)
+        assert got.length == rho * ref.length
+    assert unpaired(orbits, tol=1e-12) == []
+    for o in orbits:
+        if o.m % 2:
+            gap = abs(o.phi_ret - o.phi_out - math.pi) % TWO_PI
+            assert min(gap, TWO_PI - gap) <= 1e-12
+        else:
+            assert sum(p.m == o.m and p.length == o.length for p in orbits) >= 2
+
+
+def test_numeric_catalog_is_the_analytic_catalog_for_every_n():
+    # N = 1 is the flat wall, alpha = pi: one orbit.
+    for n in range(1, 201):
+        wedge = WedgeGeometry.from_alpha(math.pi / n)
+        for frac in (BETA_MIN, 0.37, 0.5, 1.0 - BETA_MIN):
+            ion = IonPosition(150.0, frac * wedge.opening_angle)
+            numeric = orbit_catalog(wedge, ion, "numeric")
+            assert numeric == orbit_catalog(wedge, ion, "analytic")
+            assert len(numeric) == 2 * n - 1
+
+
+@pytest.mark.parametrize("alpha, search_resolves", [(1.0, False), (2.9, True)])
+def test_images_at_the_guard_band_edges(alpha, search_resolves):
+    """beta at BETA_MIN and at alpha - BETA_MIN: every image retraces under
+    the ray tracer, and the shooting search equals the images where it
+    resolves them.  At alpha = 1 it does not: the m = 1 and m = 2 launches
+    lie BETA_MIN apart, inside one scan step, and it finds 2 of the 5."""
+    wedge = WedgeGeometry.from_alpha(alpha)
+    for beta in (BETA_MIN, alpha - BETA_MIN):
+        ion = IonPosition(200.0, beta)
+        orbits = images(wedge, ion)
+        assert len(orbits) == len(closing(alpha, beta))
+        assert_retraces(wedge, ion, orbits)
+        assert in_search_band(wedge, ion) is not search_resolves
+        if search_resolves:
+            assert_matches_shooting(wedge, ion)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 200), offset=st.floats(-12.0, math.log10(3e-9)),
+       side=st.sampled_from((-1.0, 1.0)), beta_frac=st.floats(0.001, 0.999))
+@example(n=6, offset=math.log10(3e-9), side=-1.0, beta_frac=0.46)
+@example(n=4, offset=math.log10(2.7e-9), side=-1.0, beta_frac=0.7)
+def test_images_pair_every_orbit_next_to_pi_over_n(n, offset, side, beta_frac):
+    """1e-12 to 3e-9 (relative) either side of a pi/N, inside the shooting
+    search's band, the images keep the count law and both orbits of every
+    time-reversed pair: the m = N pair closes just below pi/N."""
+    alpha = math.pi / n * (1.0 + side * 10.0**offset)
+    assume(alpha <= math.pi)
+    wedge = WedgeGeometry.from_alpha(alpha)
+    ion = IonPosition(200.0, beta_frac * alpha)
+    orbits = images(wedge, ion)
+    expected = closing(alpha, ion.beta)
+    if not wedge.n_integer and expected is not None:
+        assert len(orbits) == len(expected)
+    assert unpaired(orbits) == []

@@ -139,47 +139,51 @@ def test_decomposition_columns_sum_to_total(wedge5, ion_ref, hard):
 def test_decomposition_total_matches_sigma_total(hard):
     """Every generator sums the orbits the way per-point sigma_total does,
     bit for bit: energy rows, decomposition totals, polarization cells and
-    position rows, rho sweeps out to k L >= 2**32 included."""
+    position rows, rho sweeps out to k L >= 2**32 included, from both orbit
+    sources and off pi/N too."""
     oblique = Polarization(0.8, 2.1)
     cases = [(WedgeGeometry.from_n(n), refl, "analytic")
              for n in range(1, 9) for refl in (hard, ReflectionModel.soft())]
-    cases.append((WedgeGeometry.from_n(3), hard, "numeric"))
+    # The numeric source on a pi/N wedge and on two that are not.
+    cases += [(WedgeGeometry.from_n(3), hard, "numeric")]
+    cases += [(WedgeGeometry.from_alpha(alpha), refl, "numeric")
+              for alpha in (1.0, 2.9) for refl in (hard, ReflectionModel.soft())]
     for wedge, refl, source in cases:
         ion = IonPosition(200.0, 0.3 * wedge.opening_angle)
+        # Off pi/N every catalog is a shooting search: fewer points there.
+        shooting = wedge.n_integer is None
 
         def point(e, pol=oblique, at=ion):
             return sigma_total(e, wedge, at, pol, refl, source)
 
-        steps = 3 if source == "numeric" else 16
+        steps = 3 if shooting else 16
         args = (0.9, 1.1, steps, wedge, ion, oblique, refl, source)
         for row in energy_sweep(*args).rows:
             p = point(row[0])
             assert row == (p.e_photon_ev, p.sigma0, p.sigma_osc, p.sigma)
         for row in orbit_decomposition(*args).rows:
             assert row[1] == point(row[0]).sigma_osc
-        if source == "analytic":
-            for theta, phi, osc in polarization_map(
-                    5, 4, 1.0, wedge, ion, refl, source).rows:
-                assert osc == point(1.0, Polarization(theta, phi)).sigma_osc
+        for theta, phi, osc in polarization_map(
+                *((3, 2) if shooting else (5, 4)), 1.0, wedge, ion, refl, source).rows:
+            assert osc == point(1.0, Polarization(theta, phi)).sigma_osc
 
-        if source == "numeric":
-            pols, rho_ranges, betas = (oblique,), [(50.0, 800.0)], ()
+        if shooting:
+            pols, rho_ranges = (oblique,), [(50.0, 800.0)]
         else:
             # 1e12 bohr at 1 eV: k L up to about 2.7e11, past 2**32.
             pols = (Polarization.x(), oblique)
             rho_ranges = [(1e-3, 1.0), (50.0, 800.0), (1e9, 1e12)]
-            betas = (BETA_MIN, wedge.opening_angle - BETA_MIN)
+        betas = (BETA_MIN, wedge.opening_angle - BETA_MIN)
         for pol in pols:
             for rho_range in rho_ranges:
                 for row in position_sweep("rho", *rho_range, steps, 1.0, wedge,
                                           ion, pol, refl, source).rows:
                     p = point(1.0, pol, IonPosition(row[0], ion.beta))
                     assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)
-            if betas:
-                for row in position_sweep("beta", *betas, steps, 1.0, wedge,
-                                          ion, pol, refl, source).rows:
-                    p = point(1.0, pol, IonPosition(ion.rho, row[0]))
-                    assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)
+            for row in position_sweep("beta", *betas, steps, 1.0, wedge,
+                                      ion, pol, refl, source).rows:
+                p = point(1.0, pol, IonPosition(ion.rho, row[0]))
+                assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)
 
 
 def _band(n):
