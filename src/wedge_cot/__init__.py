@@ -4,7 +4,7 @@ wedge-shaped reflecting cavity.
 The core modules (geometry, orbits, constants, errors) import eagerly;
 spectrum, sweeps and cli load lazily on first attribute access.  All of them
 run on the standard library (numpy only inside ``verify`` and
-``Dataset.column``); oracle, which needs numpy and scipy, loads lazily too.
+``Dataset.column``); oracle, which needs numpy, loads lazily too.
 """
 
 from __future__ import annotations

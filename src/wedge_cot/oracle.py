@@ -9,8 +9,8 @@ Three independent verifications live here:
   cross section (the action spectrum).
 
 Nothing in this module reuses the closed forms it is checking: the overlap
-is integrated on a tensor grid, the radial piece by adaptive quadrature, and
-the lengths by an FFT.
+is integrated on a tensor grid, the radial piece by a node-doubling
+Gauss-Legendre rule, and the lengths by an FFT.  It needs numpy alone.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.signal import find_peaks
-from scipy.special import spherical_jn
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import ConvergenceError, GridError, ValidationError
@@ -32,6 +29,16 @@ from .spectrum import Polarization
 #: Relative accuracy the overlap quadrature must reach, measured against the
 #: natural scale of the integral (its value for parallel polarization).
 OVERLAP_TOLERANCE = 1e-6
+
+#: Two passes of the radial rule agree when they differ by at most this times
+#: 2/k_b^3, a bound on the radial integrand's L1 mass.
+_RADIAL_TOLERANCE = 1e-13
+#: The radial rule's cutoff in bound-state decay lengths 1/k_b (the tail it
+#: drops is ~ e^(-60)), its Gauss-Legendre points per panel, and the most
+#: nodes it may use: past that the panels cannot resolve the wave j_1(k r).
+_RADIAL_CUTOFF = 60.0
+_PANEL_NODES = 16
+_RADIAL_MAX_NODES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -66,10 +73,16 @@ def closed_form_overlap(
 ) -> complex:
     """The analytic value the quadrature is checked against:
     (8 i B k pi / (k_b^2 + k^2)^2) * (polarization . k_ret)."""
+    _check_momentum(k)
     k_b = consts.k_b
     direction = _unit(k_ret_direction)
     dot = float(np.dot(pol.unit_vector(), direction))
     return 8j * consts.b_norm * k * math.pi / (k_b**2 + k**2) ** 2 * dot
+
+
+def _check_momentum(k: float) -> None:
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValidationError(f"k must be positive and finite, got {k!r}")
 
 
 def _unit(v) -> np.ndarray:
@@ -145,8 +158,7 @@ def overlap_with_estimate(
     finer grid's truncation error; once that drops below rounding level the
     floor term keeps the estimate honest.
     """
-    if not (k > 0.0):
-        raise ValidationError(f"k must be positive, got {k!r}")
+    _check_momentum(k)
     k_b = consts.k_b
     if spec is None:
         spec = QuadratureSpec.default(consts)
@@ -214,23 +226,60 @@ def overlap_quadrature(
     return value
 
 
+def _j1(x: np.ndarray) -> np.ndarray:
+    """Spherical Bessel function j_1, by its Taylor series below x = 0.1,
+    where the closed form loses digits to cancellation."""
+    x2 = x * x
+    series = x / 3.0 * (1.0 - x2 / 10.0 * (1.0 - x2 / 28.0 * (1.0 - x2 / 54.0)))
+    return np.where(x < 0.1, series, np.sin(x) / x2 - np.cos(x) / x)
+
+
+def _radial_pass(k: float, k_b: float, nodes: int) -> float:
+    """Composite Gauss-Legendre sum of exp(-k_b r) j_1(k r) r^2 over
+    [0, _RADIAL_CUTOFF / k_b], in nodes // _PANEL_NODES equal panels."""
+    x, w = leggauss(_PANEL_NODES)
+    panels = nodes // _PANEL_NODES
+    width = _RADIAL_CUTOFF / k_b / panels
+    r = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) * width
+    return float(0.5 * width * np.sum(w * np.exp(-k_b * r) * _j1(k * r) * r * r))
+
+
 def radial_integral(
     k: float, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> float:
-    """Adaptive quadrature of the radial overlap factor
+    """Gauss-Legendre quadrature of the radial overlap factor
 
         integral_0^inf exp(-k_b r) j_1(k r) r^2 dr
 
-    whose closed form is 2k / (k_b^2 + k^2)^2."""
-    if not (k > 0.0):
-        raise ValidationError(f"k must be positive, got {k!r}")
+    whose closed form is 2k / (k_b^2 + k^2)^2.
+
+    The rule covers [0, _RADIAL_CUTOFF / k_b] in panels of _PANEL_NODES
+    points.  It starts at 128 nodes, or more if that many panels would be
+    wider than one wavelength 2 pi / k, and doubles them until two passes
+    agree within _RADIAL_TOLERANCE * 2/k_b^3; it returns the finer pass.
+    Past _RADIAL_MAX_NODES it raises a convergence error.
+    Without the wavelength bound, two passes too coarse to see the wave can
+    agree within that absolute tolerance once k is large enough that the
+    integral itself lies below it, and a noise value would be returned.
+    """
+    _check_momentum(k)
     k_b = consts.k_b
-
-    def integrand(r):
-        return math.exp(-k_b * r) * spherical_jn(1, k * r) * r * r
-
-    value, _ = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-    return value
+    tolerance = _RADIAL_TOLERANCE * 2.0 / k_b**3
+    cutoff = _RADIAL_CUTOFF / k_b
+    nodes = 128
+    while (nodes <= _RADIAL_MAX_NODES
+           and k * cutoff * _PANEL_NODES > 2.0 * math.pi * nodes):
+        nodes *= 2
+    coarse = None
+    while nodes <= _RADIAL_MAX_NODES:
+        fine = _radial_pass(k, k_b, nodes)
+        if coarse is not None and abs(fine - coarse) <= tolerance:
+            return fine
+        coarse, nodes = fine, 2 * nodes
+    raise ConvergenceError(
+        f"radial integral at k = {k!r} did not converge within "
+        f"{_RADIAL_MAX_NODES} nodes"
+    )
 
 
 def angular_integral_check(
@@ -310,10 +359,30 @@ def action_spectrum(
     top = float(magnitudes.max())
     if top == 0.0:
         return ActionSpectrum(lengths, magnitudes, ())
-    idx, _ = find_peaks(
-        magnitudes,
-        height=noise_floor * top,
-        distance=max(1, min_separation_bins),
-    )
+    idx = _find_peaks(magnitudes, noise_floor * top, max(1, min_separation_bins))
     peaks = tuple((float(lengths[i]), float(magnitudes[i])) for i in idx)
     return ActionSpectrum(lengths, magnitudes, peaks)
+
+
+def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
+    """Indices of the local maxima of x that reach height, thinned so that
+    no two lie closer than distance samples.
+
+    A plateau counts once, at its middle sample (rounded down); the ends of
+    x are never peaks.  Thinning is greedy from the highest peak down; equal
+    heights go in the reverse of numpy's default argsort order, as in
+    scipy.signal.find_peaks(x, height=height, distance=distance), whose
+    result this is.
+    """
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:], x.size] - 1
+    level = x[starts]
+    raised = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    peaks = ((starts[1:-1] + ends[1:-1]) // 2)[raised]
+    peaks = peaks[x[peaks] >= height]
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if keep[j]:
+            keep[np.abs(peaks - peaks[j]) < distance] = False
+            keep[j] = True
+    return peaks[keep]

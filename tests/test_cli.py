@@ -321,6 +321,24 @@ def test_commands_on_defaults_leave_numpy_unimported():
     assert proc.stdout.splitlines() == [f"{c} False" for c in commands]
 
 
+def test_verify_passes_cold_without_importing_scipy():
+    pytest.importorskip("numpy")
+    src = str(Path(wedge_cot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "wedge_cot", "verify"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "19/19 checks passed"
+
+    code = (
+        "import sys, wedge_cot.oracle\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------ determinism
 
 def test_same_argv_reruns_are_byte_identical(tmp_path):

@@ -1,17 +1,23 @@
 """Numeric cross-checks: quadratures against closed forms, FFT length recovery."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedge_cot.constants import DEFAULT_CONSTANTS, PhysicalConstants
+from wedge_cot import oracle
 from wedge_cot.errors import ConvergenceError, GridError, ValidationError
 from wedge_cot.geometry import IonPosition, WedgeGeometry
 from wedge_cot.oracle import (
     OVERLAP_TOLERANCE,
     ActionSpectrum,
     QuadratureSpec,
+    _find_peaks,
+    _radial_pass,
     action_spectrum,
     angular_integral_check,
     closed_form_overlap,
@@ -50,6 +56,82 @@ def test_radial_integral_sweep():
 def test_radial_integral_rejects_nonpositive_k():
     with pytest.raises(ValidationError):
         radial_integral(-0.2)
+
+
+def radial_closed_form(k):
+    return 2.0 * k / (K_B**2 + k**2) ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.floats(1e-4, 5.0))
+def test_radial_integral_matches_closed_form(k):
+    np.testing.assert_allclose(radial_integral(k), radial_closed_form(k),
+                               rtol=1e-10)
+
+
+def test_radial_integral_matches_scipy_quad():
+    integrate = pytest.importorskip("scipy.integrate")
+    special = pytest.importorskip("scipy.special")
+
+    @settings(max_examples=50, deadline=None)
+    @given(k=st.floats(1e-4, 5.0))
+    def check(k):
+        def integrand(r):
+            return math.exp(-K_B * r) * special.spherical_jn(1, k * r) * r * r
+
+        value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13,
+                                  epsrel=1e-12, limit=400)
+        np.testing.assert_allclose(radial_integral(k), value, rtol=1e-10)
+
+    check()
+
+
+def test_radial_integral_refines_past_the_first_pass():
+    # At k = 3 the 128-node pass is far off and must not be what is returned.
+    exact = radial_closed_form(3.0)
+    assert abs(_radial_pass(3.0, K_B, 128) - exact) > 0.5 * exact
+    np.testing.assert_allclose(radial_integral(3.0), exact, rtol=1e-10)
+
+
+def test_radial_integral_returns_the_finer_of_the_first_agreeing_passes(
+        monkeypatch):
+    # Passes by node count; k = 0.01 starts the doubling at 128 nodes.
+    passes = {128: 1.0, 256: 0.5, 512: 0.5 + 1e-16, 1024: 0.25}
+    monkeypatch.setattr(oracle, "_radial_pass",
+                        lambda k, k_b, nodes: passes[nodes])
+    assert radial_integral(0.01) == passes[512]
+    monkeypatch.setattr(oracle, "_radial_pass",
+                        lambda k, k_b, nodes: float(nodes))
+    with pytest.raises(ConvergenceError):
+        radial_integral(0.01)
+
+
+def test_radial_integral_at_large_k_converges_or_raises_in_bounded_time():
+    for k in (20.0, 50.0):
+        start = time.perf_counter()
+        np.testing.assert_allclose(radial_integral(k), radial_closed_form(k),
+                                   rtol=1e-9)
+        assert time.perf_counter() - start < 5.0
+    # At k = 1e10 the integral (2e-30) lies far below the absolute agreement
+    # bound, so passes too coarse to see the wave would agree on noise.
+    for k in (1e4, 1e10):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            radial_integral(k)
+        assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    radial_integral,
+    lambda k: overlap_with_estimate(k, Polarization.x(), X_AXIS),
+    lambda k: overlap_quadrature(k, Polarization.x(), X_AXIS),
+    lambda k: closed_form_overlap(k, Polarization.x(), X_AXIS),
+], ids=["radial_integral", "overlap_with_estimate", "overlap_quadrature",
+        "closed_form_overlap"])
+def test_nonfinite_k_is_rejected(call, k):
+    with pytest.raises(ValidationError):
+        call(k)
 
 
 # -------------------------------------------------------- angular integral
@@ -215,3 +297,30 @@ def test_action_spectrum_grid_validation():
         action_spectrum(np.stack([k, values]))  # transposed table
     with pytest.raises(ValidationError):
         action_spectrum(np.column_stack([k, values]), window="hamming")
+
+
+def test_find_peaks_matches_scipy():
+    signal = pytest.importorskip("scipy.signal")
+    distance = st.integers(1, 12)
+
+    def check(values, height, distance):
+        x = np.asarray(values, dtype=float)
+        expected = signal.find_peaks(x, height=height, distance=distance)[0]
+        np.testing.assert_array_equal(_find_peaks(x, height, distance), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=200),
+           height=st.floats(-1e3, 1e3), distance=distance)
+    def floats(values, height, distance):
+        check(values, height, distance)
+
+    # Small integers: plateaus and equal heights everywhere, which is where
+    # the plateau midpoint and the tie order of the distance filter show.
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(0, 3), min_size=1, max_size=200),
+           height=st.integers(0, 3), distance=distance)
+    def ties(values, height, distance):
+        check(values, height, distance)
+
+    floats()
+    ties()

@@ -89,8 +89,8 @@ def test_sigma_background_frozen_values():
 
 
 def test_sigma_background_peaks_at_binding_energy():
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(
+    optimize = pytest.importorskip("scipy.optimize")
+    res = optimize.minimize_scalar(
         lambda e: -sigma_background(e),
         bounds=(E_B_HARTREE / 20, 20 * E_B_HARTREE),
         method="bounded",
