@@ -1,10 +1,14 @@
 """Closed-orbit photodetachment cross sections for a negative ion inside a
 wedge-shaped reflecting cavity.
 
-The core modules (geometry, orbits, constants, errors) import eagerly;
+The core modules (geometry, orbits, constants, errors, records) import eagerly;
 spectrum, sweeps and cli load lazily on first attribute access.  All of them
 run on the standard library (numpy only inside ``verify`` and
-``Dataset.column``); oracle, which needs numpy, loads lazily too.
+``Dataset.column``); oracle, which needs numpy, loads lazily too.  Records
+are ``collections.namedtuple`` subclasses on the ``records.Record`` base
+that check their fields in ``__new__``, copies included; ``logging`` and
+``json`` load only on the paths that use them, so a cold command imports
+only what it runs.
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ with a provenance header and are byte-deterministic for identical argv.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -29,7 +28,7 @@ from .errors import (
     ValidationError,
     WedgeCotError,
 )
-from .geometry import BETA_MIN, IonPosition, WedgeGeometry
+from .geometry import BETA_MIN, IonPosition, WedgeGeometry, guard_band
 
 _PI_FRACTION = re.compile(r"(\d+)?pi(?:/(\d+))?")
 
@@ -115,7 +114,7 @@ def _resolve_constants(args) -> PhysicalConstants:
         overrides["b_norm"] = args.b_norm
     if not overrides:
         return DEFAULT_CONSTANTS
-    return dataclasses.replace(DEFAULT_CONSTANTS, **overrides)
+    return DEFAULT_CONSTANTS._replace(**overrides)
 
 
 def _resolve_wedge(args) -> WedgeGeometry:
@@ -144,13 +143,27 @@ def serialize(dataset, fmt: str, destination: str | None = None):
     else:
         raise ValidationError(f"format must be csv or json, got {fmt!r}")
     if destination is None or destination == "-":
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     try:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
         raise OutputError(f"cannot write {destination!r}: {exc}") from exc
+
+
+def _write_stdout(text: str) -> None:
+    # An unbuffered binary layer (PYTHONUNBUFFERED) may take only part of a
+    # write to a pipe, and the text layer would drop the rest: write the
+    # bytes until all are taken, so that a reader that closes raises here.
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:  # an in-memory stream
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[binary.write(data):]
 
 
 def _csv_text(dataset) -> str:
@@ -164,6 +177,8 @@ def _csv_text(dataset) -> str:
 
 
 def _json_text(dataset) -> str:
+    import json
+
     payload = {
         "meta": {"tool": "wedge-cot", "version": VERSION, **dict(dataset.meta)},
         "columns": list(dataset.columns),
@@ -177,7 +192,7 @@ def _with_cli_meta(dataset, args, command: str):
     for name in ("beta", "pol", "delta", "output", "format"):
         if hasattr(args, name) and getattr(args, name) is not None:
             extra.append((f"cli_{name}", str(getattr(args, name))))
-    return dataclasses.replace(dataset, meta=tuple(extra) + dataset.meta)
+    return dataset._replace(meta=tuple(extra) + dataset.meta)
 
 
 def _cmd_orbits(args) -> int:
@@ -208,11 +223,9 @@ def _cmd_orbits(args) -> int:
 
 
 def _beta_grid(args, wedge):
-    start = parse_angle(args.beta_min)[0] if args.beta_min else BETA_MIN
-    stop = (
-        parse_angle(args.beta_max)[0] if args.beta_max
-        else wedge.opening_angle - BETA_MIN
-    )
+    lo, hi = guard_band(wedge, BETA_MIN)
+    start = parse_angle(args.beta_min)[0] if args.beta_min else lo
+    stop = parse_angle(args.beta_max)[0] if args.beta_max else hi
     return "beta", start, stop, args.steps, args.e_photon
 
 
@@ -400,7 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            status = args.func(args)
+            sys.stdout.flush()  # a reader that has closed fails here
+        except BrokenPipeError:
+            # Point stdout at os.devnull, or the flush at interpreter exit
+            # fails on the closed pipe a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise OutputError("cannot write to stdout: its reader has closed") from None
+        return status
     except ValidationError as exc:
         print(f"error[{exc.code}] {exc}", file=sys.stderr)
         return 2

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
+from .records import Record
 
 #: Package version, stamped into dataset provenance headers.
 VERSION = "0.1.0"
@@ -14,8 +15,9 @@ VERSION = "0.1.0"
 EV_PER_HARTREE = 27.211386245988
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Record, namedtuple(
+    "PhysicalConstants", "b_norm binding_energy_ev c_light ev_per_hartree"
+)):
     """Constants entering the cross-section formulas.
 
     Attributes:
@@ -27,17 +29,26 @@ class PhysicalConstants:
             that used the coarser value (an overall rescaling of all
             cross sections).
         ev_per_hartree: energy conversion factor.
+
+    Every value must be positive and finite.
     """
 
-    b_norm: float = 0.31522
-    binding_energy_ev: float = 0.754
-    c_light: float = 137.036
-    ev_per_hartree: float = EV_PER_HARTREE
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("b_norm", "binding_energy_ev", "c_light", "ev_per_hartree"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"{name} must be strictly positive")
+    def __new__(
+        cls,
+        b_norm: float = 0.31522,
+        binding_energy_ev: float = 0.754,
+        c_light: float = 137.036,
+        ev_per_hartree: float = EV_PER_HARTREE,
+    ):
+        values = (b_norm, binding_energy_ev, c_light, ev_per_hartree)
+        for name, value in zip(cls._fields, values):
+            if not (0.0 < value < math.inf):
+                raise ValidationError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
+        return tuple.__new__(cls, values)
 
     @property
     def binding_energy(self) -> float:

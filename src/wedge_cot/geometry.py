@@ -15,7 +15,7 @@ that the closed-orbit search can call them in a tight scalar loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     ApexSingularityError,
@@ -23,6 +23,7 @@ from .errors import (
     DegenerateIncidenceError,
     ValidationError,
 )
+from .records import Record
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,8 +42,7 @@ LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class WedgeGeometry:
+class WedgeGeometry(Record, namedtuple("WedgeGeometry", "opening_angle n_integer")):
     """Open wedge cavity with apex at the origin.
 
     ``n_integer`` is filled automatically whenever the opening angle equals
@@ -50,27 +50,27 @@ class WedgeGeometry:
     analytic closed-orbit catalog apply.
     """
 
-    opening_angle: float
-    n_integer: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        alpha = self.opening_angle
+    def __new__(cls, opening_angle: float, n_integer: int | None = None):
+        alpha = opening_angle
         if not (0.0 < alpha <= math.pi):
             raise ValidationError(
                 f"opening angle must lie in (0, pi], got {alpha!r}"
             )
-        if self.n_integer is None:
+        if n_integer is None:
             n = round(math.pi / alpha)
             if n >= 1 and abs(alpha - math.pi / n) <= 1e-12:
-                object.__setattr__(self, "n_integer", n)
+                n_integer = n
         else:
-            n = self.n_integer
+            n = n_integer
             if not (isinstance(n, int) and n >= 1):
                 raise ValidationError("n_integer must be a positive integer")
             if abs(alpha - math.pi / n) > 1e-12:
                 raise ValidationError(
                     f"opening angle {alpha!r} is not pi/{n} within 1e-12"
                 )
+        return tuple.__new__(cls, (opening_angle, n_integer))
 
     @classmethod
     def from_n(cls, n: int) -> "WedgeGeometry":
@@ -100,23 +100,23 @@ class WedgeGeometry:
         return (-math.cos(a), -math.sin(a))
 
 
-@dataclass(frozen=True)
-class IonPosition:
+class IonPosition(Record, namedtuple("IonPosition", "rho beta")):
     """Negative-ion placement: distance rho from the apex (bohr), declination
     beta from the left surface (radians)."""
 
-    rho: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValidationError(f"rho must be positive and finite, got {self.rho!r}")
-        if not math.isfinite(self.beta):
+    def __new__(cls, rho: float, beta: float):
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise ValidationError(f"rho must be positive and finite, got {rho!r}")
+        if not math.isfinite(beta):
             raise ValidationError("beta must be finite")
+        return tuple.__new__(cls, (rho, beta))
 
 
-@dataclass(frozen=True)
-class Approach:
+class Approach(Record, namedtuple(
+    "Approach", "reflections signed_miss path_length direction"
+)):
     """Closest approach of a traced trajectory to its start point.
 
     ``signed_miss`` is the perpendicular distance from the segment's line to
@@ -124,10 +124,7 @@ class Approach:
     the root-finding observable of the closed-orbit search.
     """
 
-    reflections: int
-    signed_miss: float
-    path_length: float
-    direction: Vector
+    __slots__ = ()
 
     @property
     def distance(self) -> float:
@@ -138,16 +135,14 @@ class Approach:
         return wrap_angle(math.atan2(self.direction[1], self.direction[0]))
 
 
-@dataclass(frozen=True)
-class RayPath:
+class RayPath(Record, namedtuple(
+    "RayPath",
+    "segments reflections total_length approaches final_direction escaped",
+    defaults=((), (1.0, 0.0), False),
+)):
     """Piecewise-straight trajectory inside the wedge."""
 
-    segments: tuple[tuple[Point, Point], ...]
-    reflections: int
-    total_length: float
-    approaches: tuple[Approach, ...] = field(default=())
-    final_direction: Vector = (1.0, 0.0)
-    escaped: bool = False
+    __slots__ = ()
 
 
 def wrap_angle(phi: float) -> float:
@@ -156,11 +151,23 @@ def wrap_angle(phi: float) -> float:
     return 0.0 if phi == TWO_PI else phi
 
 
+def guard_band(wedge: WedgeGeometry, beta_min: float) -> tuple[float, float]:
+    """(beta_min, alpha - beta_min); raises when the wedge is narrower than
+    2 beta_min, so that no beta is allowed."""
+    lo, hi = beta_min, wedge.opening_angle - beta_min
+    if hi < lo:
+        raise BetaRangeError(
+            f"opening angle {wedge.opening_angle!r} is narrower than the guard "
+            f"band 2 * {beta_min!r}: no beta is allowed"
+        )
+    return lo, hi
+
+
 def validate_beta(wedge: WedgeGeometry, ion: IonPosition, beta_min: float = 0.0):
     """Raise unless beta is interior: strictly inside (0, alpha) when
     beta_min is 0, else within the closed guard band [beta_min,
     alpha - beta_min]."""
-    lo, hi = beta_min, wedge.opening_angle - beta_min
+    lo, hi = guard_band(wedge, beta_min)
     inside = lo <= ion.beta <= hi if beta_min > 0.0 else lo < ion.beta < hi
     if not inside:
         raise BetaRangeError(

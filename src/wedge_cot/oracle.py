@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import ConvergenceError, GridError, ValidationError
+from .records import Record
 from .spectrum import Polarization
 
 #: Relative accuracy the overlap quadrature must reach, measured against the
@@ -41,21 +42,22 @@ _PANEL_NODES = 16
 _RADIAL_MAX_NODES = 1 << 17
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record, namedtuple(
+    "QuadratureSpec", "radial_cutoff radial_nodes polar_nodes azimuthal_nodes"
+)):
     """Node counts and radial cutoff for the 3-D overlap quadrature."""
 
-    radial_cutoff: float
-    radial_nodes: int = 256
-    polar_nodes: int = 64
-    azimuthal_nodes: int = 64
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("radial_nodes", "polar_nodes", "azimuthal_nodes"):
-            if getattr(self, name) < 64:
+    def __new__(cls, radial_cutoff: float, radial_nodes: int = 256,
+                polar_nodes: int = 64, azimuthal_nodes: int = 64):
+        nodes = (radial_nodes, polar_nodes, azimuthal_nodes)
+        for name, value in zip(cls._fields[1:], nodes):
+            if value < 64:
                 raise ValidationError(f"{name} must be at least 64")
-        if not (math.isfinite(self.radial_cutoff) and self.radial_cutoff > 0):
+        if not (math.isfinite(radial_cutoff) and radial_cutoff > 0):
             raise ValidationError("radial_cutoff must be positive and finite")
+        return tuple.__new__(cls, (radial_cutoff, *nodes))
 
     @classmethod
     def default(
@@ -305,17 +307,18 @@ def angular_integral_check(
     return float(np.sum(w_mu[:, None] * integrand) * w_phi)
 
 
-@dataclass(frozen=True, eq=False)
-class ActionSpectrum:
+class ActionSpectrum(Record, namedtuple("ActionSpectrum", "lengths magnitudes peaks")):
     """Magnitude of the Fourier transform of sigma_osc(k) against length.
 
     Peaks of the magnitude sit at the closed-orbit lengths present in the
-    generating catalog.
+    generating catalog.  The fields hold arrays, which have no single truth
+    value, so a spectrum compares and hashes by identity.
     """
 
-    lengths: np.ndarray
-    magnitudes: np.ndarray
-    peaks: tuple[tuple[float, float], ...]
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def action_spectrum(

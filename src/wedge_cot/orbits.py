@@ -27,9 +27,8 @@ it against the same images in radians.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -47,12 +46,10 @@ from .geometry import (
     trace,
     wrap_angle,
 )
+from .records import Record
 
-log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class ClosedOrbit:
+class ClosedOrbit(Record, namedtuple("ClosedOrbit", "index phi_out phi_ret m length")):
     """One closed orbit on the cross-sectional plane.
 
     Both polar angles are implicitly pi/2 (the orbits are planar); phi_out is
@@ -60,27 +57,25 @@ class ClosedOrbit:
     number of surface bounces, and length the path length in bohr.
     """
 
-    index: int
-    phi_out: float
-    phi_ret: float
-    m: int
-    length: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError(f"reflection count must be >= 1, got {self.m!r}")
-        if not (math.isfinite(self.length) and self.length > 0.0):
+    def __new__(cls, index: int, phi_out: float, phi_ret: float, m: int,
+                length: float):
+        if m < 1:
+            raise ValidationError(f"reflection count must be >= 1, got {m!r}")
+        if not (math.isfinite(length) and length > 0.0):
             raise ZeroLengthOrbitError(
-                f"orbit length must be positive, got {self.length!r}"
+                f"orbit length must be positive, got {length!r}"
             )
-        for name in ("phi_out", "phi_ret"):
-            value = getattr(self, name)
+        for name, value in (("phi_out", phi_out), ("phi_ret", phi_ret)):
             if not (0.0 <= value < TWO_PI):
                 raise ValidationError(f"{name} must lie in [0, 2*pi), got {value!r}")
+        return tuple.__new__(cls, (index, phi_out, phi_ret, m, length))
 
 
-@dataclass(frozen=True)
-class ExactOrbit:
+class ExactOrbit(Record, namedtuple(
+    "ExactOrbit", "index phi_out_over_pi phi_ret_over_pi m chord_over_pi"
+)):
     """Closed orbit of a pi/N wedge with angles kept as exact rationals.
 
     Angles are stored as multiples of pi (phi = fraction * pi), which is the
@@ -88,11 +83,7 @@ class ExactOrbit:
     of pi.  ``chord_over_pi`` is the q in L = 2 rho |sin(q pi)|.
     """
 
-    index: int
-    phi_out_over_pi: Fraction
-    phi_ret_over_pi: Fraction
-    m: int
-    chord_over_pi: Fraction
+    __slots__ = ()
 
     def to_closed_orbit(self, rho: float) -> ClosedOrbit:
         # Folding q into [0, 1/2] before rounding gives partners equal length bits.
@@ -158,22 +149,20 @@ def _j_order(odd: list, even: list) -> list:
     return merged
 
 
-@dataclass(frozen=True)
-class _Template:
+class _Template(Record, namedtuple("_Template", "m odd_angles even_bases even_chords")):
     """The rho- and beta-free constants of the pi/N catalog, one half per
     parity of j.  Odd-j orbits keep their angles and move their chords with
     beta; even-j orbits keep their chords and shift their angles by beta.
     Every length is 2 rho times the chord, so rho never enters.
 
-    The fields are lists on purpose: built once per sweep from generators,
-    tuples kept CPython's tuple free lists growing, and a loop of sweeps
-    grew by megabytes of resident memory.
+    The fields are m in j order, the odd (phi_out, phi_ret), the even ones
+    less beta and unwrapped, and the even chords.  They are lists on
+    purpose: built once per sweep from generators, tuples kept CPython's
+    tuple free lists growing, and a loop of sweeps grew by megabytes of
+    resident memory.
     """
 
-    m: list[int]  # j order
-    odd_angles: list[tuple[float, float]]  # (phi_out, phi_ret)
-    even_bases: list[tuple[float, float]]  # the same, less beta, unwrapped
-    even_chords: list[float]
+    __slots__ = ()
 
     def odd_chords(self, beta: float) -> list[float]:
         # sin argument lies in (0, pi): the |.| is a formality.
@@ -229,15 +218,15 @@ ANGLE_TOLERANCE = 1e-11
 DEDUPE_TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True)
-class OrbitSearchConfig:
+class OrbitSearchConfig(Record, namedtuple("OrbitSearchConfig", "max_reflections")):
     """Reflection budget of the shooting search."""
 
-    max_reflections: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.max_reflections, int) and self.max_reflections >= 1):
+    def __new__(cls, max_reflections: int):
+        if not (isinstance(max_reflections, int) and max_reflections >= 1):
             raise ValidationError("max_reflections must be a positive integer")
+        return tuple.__new__(cls, (max_reflections,))
 
 
 def default_search_config(wedge: WedgeGeometry) -> OrbitSearchConfig:
@@ -348,10 +337,8 @@ def _refine(lo, hi, miss_lo, m, sample) -> tuple[float, Approach] | None:
             if approaches is not None and m in approaches:
                 break
         else:
-            log.warning(
-                "abandoning bracket near phi=%.12f (m=%d): "
-                "no usable split point", 0.5 * (lo + hi), m,
-            )
+            _warn("abandoning bracket near phi=%.12f (m=%d): "
+                  "no usable split point", 0.5 * (lo + hi), m)
             return None
         miss = approaches[m].signed_miss
         if miss == 0.0:
@@ -368,5 +355,12 @@ def _refine(lo, hi, miss_lo, m, sample) -> tuple[float, Approach] | None:
         approaches = sample(phi)
         if approaches is not None and m in approaches:
             return root, approaches[m]
-    log.warning("root near phi=%.12f (m=%d) grazes the apex; skipped", root, m)
+    _warn("root near phi=%.12f (m=%d) grazes the apex; skipped", root, m)
     return None
+
+
+def _warn(message: str, *args):
+    """Log a lost root; logging loads only when a search loses one."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)

@@ -20,7 +20,7 @@ sections are in bohr^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import (
@@ -35,25 +35,23 @@ from .orbits import (
     enumerate_analytic,
     find_numeric,
 )
+from .records import Record
 
 ORBIT_SOURCES = ("analytic", "numeric")
 
 
-@dataclass(frozen=True)
-class Polarization:
-    """Linear laser polarization by its spherical angles (theta_L, phi_L)."""
+class Polarization(Record, namedtuple("Polarization", "theta_L phi_L")):
+    """Linear laser polarization by its spherical angles (theta_L, phi_L);
+    phi_L is kept reduced to [0, 2 pi)."""
 
-    theta_L: float
-    phi_L: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.theta_L <= math.pi):
-            raise ValidationError(
-                f"theta_L must lie in [0, pi], got {self.theta_L!r}"
-            )
-        if not math.isfinite(self.phi_L):
+    def __new__(cls, theta_L: float, phi_L: float):
+        if not (0.0 <= theta_L <= math.pi):
+            raise ValidationError(f"theta_L must lie in [0, pi], got {theta_L!r}")
+        if not math.isfinite(phi_L):
             raise ValidationError("phi_L must be finite")
-        object.__setattr__(self, "phi_L", self.phi_L % TWO_PI)
+        return tuple.__new__(cls, (theta_L, phi_L % TWO_PI))
 
     @classmethod
     def x(cls) -> "Polarization":
@@ -76,15 +74,15 @@ class Polarization:
         )
 
 
-@dataclass(frozen=True)
-class ReflectionModel:
+class ReflectionModel(Record, namedtuple("ReflectionModel", "delta")):
     """Phase loss per wall reflection: pi for hard walls, pi/2 for soft."""
 
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.delta):
+    def __new__(cls, delta: float):
+        if not math.isfinite(delta):
             raise ValidationError("delta must be finite")
+        return tuple.__new__(cls, (delta,))
 
     @classmethod
     def hard(cls) -> "ReflectionModel":
@@ -99,20 +97,18 @@ class ReflectionModel:
         return self.delta == math.pi
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(Record, namedtuple(
+    "SpectrumPoint", "e_photon_ev energy k sigma0 sigma_osc sigma"
+)):
     """Cross section at one photon energy, split into its parts."""
 
-    e_photon_ev: float
-    energy: float
-    k: float
-    sigma0: float
-    sigma_osc: float
-    sigma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sigma != self.sigma0 + self.sigma_osc:
+    def __new__(cls, e_photon_ev: float, energy: float, k: float,
+                sigma0: float, sigma_osc: float, sigma: float):
+        if sigma != sigma0 + sigma_osc:
             raise ValidationError("sigma must equal sigma0 + sigma_osc exactly")
+        return tuple.__new__(cls, (e_photon_ev, energy, k, sigma0, sigma_osc, sigma))
 
     @classmethod
     def build(

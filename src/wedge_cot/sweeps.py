@@ -12,12 +12,13 @@ numpy when it is called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import DEFAULT_CONSTANTS, VERSION, PhysicalConstants
 from .errors import BelowThresholdError, GridError, ValidationError
 from .geometry import BETA_MIN, IonPosition, WedgeGeometry, validate_beta
 from .orbits import _template
+from .records import Record
 from .spectrum import (
     Polarization,
     ReflectionModel,
@@ -34,17 +35,15 @@ from .spectrum import (
 MetaPairs = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record, namedtuple("Dataset", "columns rows meta")):
     """Rectangular table of reals with ordered provenance pairs."""
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-    meta: MetaPairs
+    __slots__ = ()
 
-    def __post_init__(self):
-        width = len(self.columns)
-        for row in self.rows:
+    def __new__(cls, columns: tuple[str, ...], rows: tuple[tuple[float, ...], ...],
+                meta: MetaPairs):
+        width = len(columns)
+        for row in rows:
             if len(row) != width:
                 raise ValidationError(
                     f"row width {len(row)} does not match {width} columns"
@@ -52,6 +51,7 @@ class Dataset:
             for value in row:
                 if not math.isfinite(value):
                     raise ValidationError("dataset rows must be finite")
+        return tuple.__new__(cls, (columns, rows, meta))
 
     def column(self, name: str):
         """The named column as a numpy array."""

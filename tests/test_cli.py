@@ -229,6 +229,59 @@ def test_unwritable_output_exit_3(capsys):
     assert err.startswith("error[unwritable-output]")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--c-au", "-1"), ("--c-au", "inf"), ("--e-b-ev", "nan"),
+])
+def test_nonpositive_or_nonfinite_constant_exit_2(flag, value, capsys):
+    # inf used to pass the positivity test and print every sigma as 0.
+    assert main(["spectrum", "--steps", "4", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[invalid-input] ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep-beta", "polmap"])
+def test_wedge_narrower_than_the_guard_band_exit_2(command, capsys):
+    # pi/100000 < 2 BETA_MIN: the band [BETA_MIN, alpha - BETA_MIN] is
+    # empty, and the message used to print it as an inverted interval.
+    assert main([command, "--n", "100000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[beta-out-of-range] opening angle ")
+    assert "narrower than the guard band 2 * 0.001: no beta is allowed" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, lines_read", [
+    (["orbits"], 0),
+    (["orbits", "--n", "1000", "--beta", "0.001"], 1),
+    (["spectrum"], 1),
+])
+def test_reader_that_closes_exit_3(argv, lines_read, unbuffered):
+    # The reader of the short table closes before the child starts; the long
+    # outputs outgrow a pipe's 64 KiB buffer, so the command is still writing
+    # when the reader closes after one line.  Unbuffered, a write to the pipe
+    # can be taken in part, and the rest must not be dropped in silence.
+    src = str(Path(wedge_cot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "wedge_cot", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    # One line and no "Exception ignored" from the flush at exit.
+    assert err == ("error[unwritable-output] cannot write to stdout: "
+                   "its reader has closed\n")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -319,6 +372,22 @@ def test_commands_on_defaults_leave_numpy_unimported():
     proc = subprocess.run([sys.executable, "-c", code, *commands], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == [f"{c} False" for c in commands]
+
+
+def test_dataset_command_loads_no_dataclasses_logging_or_json():
+    # -S keeps site-packages' own start-up imports out of the count.
+    code = (
+        "import contextlib, io, sys\n"
+        "from wedge_cot.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['spectrum', '--steps', '8']) == 0\n"
+        "print(sorted({'dataclasses', 'logging', 'json'} & set(sys.modules)))\n"
+    )
+    src = str(Path(wedge_cot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_passes_cold_without_importing_scipy():
