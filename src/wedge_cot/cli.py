@@ -1,9 +1,7 @@
 """Command-line front end.
 
-Subcommands: ``orbits`` (closed-orbit catalog as a table), ``spectrum``
-(cross section vs photon energy), ``decompose`` (per-orbit terms),
-``sweep-rho`` / ``sweep-beta`` (ion-position dependence), ``polmap``
-(polarization-direction map), and ``verify`` (quadrature oracle checks).
+Each subcommand is one row of ``_COMMANDS`` and each flag one entry of
+``_OPTIONS``; ``wedge-cot --help`` and ``wedge-cot <cmd> --help`` list them.
 
 Angles are accepted either as decimal radians or as rational multiples of
 pi ("pi/15", "2pi/5", "3pi"); the fraction form is kept exact so catalog
@@ -22,12 +20,7 @@ import sys
 from fractions import Fraction
 
 from .constants import DEFAULT_CONSTANTS, VERSION, PhysicalConstants
-from .errors import (
-    NumericError,
-    OutputError,
-    ValidationError,
-    WedgeCotError,
-)
+from .errors import NumericError, OutputError, ValidationError, WedgeCotError
 from .geometry import BETA_MIN, IonPosition, WedgeGeometry, guard_band
 
 _PI_FRACTION = re.compile(r"(\d+)?pi(?:/(\d+))?")
@@ -75,12 +68,8 @@ def parse_polarization(text: str):
     from .spectrum import Polarization
 
     name = text.strip().lower()
-    if name == "x":
-        return Polarization.x()
-    if name == "y":
-        return Polarization.y()
-    if name == "z":
-        return Polarization.z()
+    if name in ("x", "y", "z"):
+        return getattr(Polarization, name)()
     parts = name.split(",")
     if len(parts) != 2:
         raise ValidationError(
@@ -96,36 +85,28 @@ def parse_delta(text: str):
     from .spectrum import ReflectionModel
 
     name = text.strip().lower()
-    if name == "hard":
-        return ReflectionModel.hard()
-    if name == "soft":
-        return ReflectionModel.soft()
+    if name in ("hard", "soft"):
+        return getattr(ReflectionModel, name)()
     value, _ = parse_angle(name)
     return ReflectionModel(value)
 
 
+#: The constant each override flag sets, by the flag's dest.
+_OVERRIDES = {"c_au": "c_light", "e_b_ev": "binding_energy_ev", "b_norm": "b_norm"}
+
+
 def _resolve_constants(args) -> PhysicalConstants:
-    overrides = {}
-    if args.c_au is not None:
-        overrides["c_light"] = args.c_au
-    if args.e_b_ev is not None:
-        overrides["binding_energy_ev"] = args.e_b_ev
-    if args.b_norm is not None:
-        overrides["b_norm"] = args.b_norm
-    if not overrides:
-        return DEFAULT_CONSTANTS
-    return DEFAULT_CONSTANTS._replace(**overrides)
+    overrides = {field: getattr(args, dest) for dest, field in _OVERRIDES.items()
+                 if getattr(args, dest) is not None}
+    return DEFAULT_CONSTANTS._replace(**overrides) if overrides else DEFAULT_CONSTANTS
 
 
 def _resolve_wedge(args) -> WedgeGeometry:
-    if args.n is not None and args.alpha is not None:
-        raise ValidationError("give exactly one of --n and --alpha")
+    if args.alpha is None:
+        return WedgeGeometry.from_n(5 if args.n is None else args.n)
     if args.n is not None:
-        return WedgeGeometry.from_n(args.n)
-    if args.alpha is not None:
-        value, _ = parse_angle(args.alpha)
-        return WedgeGeometry.from_alpha(value)
-    return WedgeGeometry.from_n(5)
+        raise ValidationError("give exactly one of --n and --alpha")
+    return WedgeGeometry.from_alpha(parse_angle(args.alpha)[0])
 
 
 def _resolve_ion(args) -> tuple[IonPosition, Fraction | None]:
@@ -187,10 +168,10 @@ def _json_text(dataset) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def _with_cli_meta(dataset, args, command: str):
-    extra = [("command", command)]
+def _with_cli_meta(dataset, args):
+    extra = [("command", args.command)]
     for name in ("beta", "pol", "delta", "output", "format"):
-        if hasattr(args, name) and getattr(args, name) is not None:
+        if getattr(args, name, None) is not None:
             extra.append((f"cli_{name}", str(getattr(args, name))))
     return dataset._replace(meta=tuple(extra) + dataset.meta)
 
@@ -205,6 +186,8 @@ def _cmd_orbits(args) -> int:
     # leaves stdout empty.
     if args.orbit_source == "analytic" and beta_frac is not None and wedge.n_integer:
         # beta given as a fraction of pi: the table keeps its angles exact.
+        # orbit_catalog applies the guard band on the other branch.
+        guard_band(wedge, BETA_MIN)
         lines = [
             f"{row.index} {format_pi_fraction(row.phi_out_over_pi)} "
             f"{format_pi_fraction(row.phi_ret_over_pi)} {row.m} "
@@ -222,43 +205,38 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
+def _dataset(generator: str, grid):
+    """A dataset subcommand's runner: the named ``sweeps`` generator, looked up
+    when it runs (so ``orbits`` and ``verify`` never import ``sweeps``), with
+    the grid arguments ``grid(args, wedge)`` before the wedge and the ion."""
+
+    def run(args) -> int:
+        from . import sweeps
+
+        wedge = _resolve_wedge(args)
+        grid_args = grid(args, wedge)
+        ion = _resolve_ion(args)[0]
+        # polmap sweeps the polarization itself and has no --pol.
+        pol = (parse_polarization(args.pol),) if "pol" in vars(args) else ()
+        dataset = getattr(sweeps, generator)(
+            *grid_args, wedge, ion, *pol, parse_delta(args.delta),
+            orbit_source=args.orbit_source, consts=_resolve_constants(args),
+        )
+        serialize(_with_cli_meta(dataset, args), args.format, args.output)
+        return 0
+
+    return run
+
+
+def _energy_grid(args, wedge):
+    return args.e_min, args.e_max, args.steps
+
+
 def _beta_grid(args, wedge):
     lo, hi = guard_band(wedge, BETA_MIN)
     start = parse_angle(args.beta_min)[0] if args.beta_min else lo
     stop = parse_angle(args.beta_max)[0] if args.beta_max else hi
     return "beta", start, stop, args.steps, args.e_photon
-
-
-#: Dataset subcommands: the name of the ``sweeps`` generator each one runs,
-#: looked up on the module when it runs (so ``orbits`` and ``verify`` never
-#: import ``sweeps``, which itself runs on the standard library alone), and
-#: the grid arguments that come before the wedge and the ion.
-_DATASETS = {
-    "spectrum": ("energy_sweep", lambda a, w: (a.e_min, a.e_max, a.steps)),
-    "decompose": ("orbit_decomposition", lambda a, w: (a.e_min, a.e_max, a.steps)),
-    "sweep-rho": ("position_sweep",
-                  lambda a, w: ("rho", a.rho_min, a.rho_max, a.steps, a.e_photon)),
-    "sweep-beta": ("position_sweep", _beta_grid),
-    "polmap": ("polarization_map",
-               lambda a, w: (a.theta_steps, a.phi_steps, a.e_photon)),
-}
-
-
-def _cmd_dataset(args) -> int:
-    from . import sweeps
-
-    name, grid = _DATASETS[args.command]
-    wedge = _resolve_wedge(args)
-    grid_args = grid(args, wedge)
-    ion = _resolve_ion(args)[0]
-    # polmap sweeps the polarization itself and has no --pol.
-    pol = (parse_polarization(args.pol),) if "pol" in vars(args) else ()
-    dataset = getattr(sweeps, name)(
-        *grid_args, wedge, ion, *pol, parse_delta(args.delta),
-        orbit_source=args.orbit_source, consts=_resolve_constants(args),
-    )
-    serialize(_with_cli_meta(dataset, args, args.command), args.format, args.output)
-    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -325,33 +303,71 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _flag(help: str, **settings) -> dict:
+    """argparse settings whose help ends with the default, when there is one."""
+    if settings.get("default") is not None:
+        help += " (default %(default)s)"
+    return dict(settings, help=help)
+
+
+#: Every flag once, with its help and argparse settings; a key "--long/-s"
+#: also gives the short form.
+_OPTIONS = {
+    "--n": _flag("wedge opening angle pi/N (N = 5 unless --alpha is given)", type=int),
+    "--alpha": _flag("wedge opening angle in radians or pi form"),
+    "--rho": _flag("ion distance from the apex, bohr", type=float, default=200.0),
+    "--beta": _flag("ion declination from the left surface", default="pi/15"),
+    "--pol": _flag("polarization: x, y, z, or 'theta,phi'", default="x"),
+    "--delta": _flag("reflection phase loss: hard, soft, or radians", default="hard"),
+    "--orbit-source": _flag("closed-orbit catalog; only numeric takes a wedge not pi/N",
+                            choices=("analytic", "numeric"), default="analytic"),
+    "--c-au": _flag("speed of light override, atomic units", type=float),
+    "--e-b-ev": _flag("binding energy override, eV", type=float),
+    "--b-norm": _flag("bound-state normalization override", type=float),
+    "--output/-o": _flag("output path (default stdout)"),
+    "--format": _flag("output format", choices=("csv", "json"), default="csv"),
+    "--e-min": _flag("grid start, eV", type=float, default=0.76),
+    "--e-max": _flag("grid stop, eV", type=float, default=1.4),
+    "--rho-min": _flag("grid start, bohr", type=float, default=50.0),
+    "--rho-max": _flag("grid stop, bohr", type=float, default=800.0),
+    "--beta-min": _flag("grid start (default the guard band edge)"),
+    "--beta-max": _flag("grid stop (default the guard band edge)"),
+    "--steps": _flag("number of grid points", type=int, default=2048),
+    "--e-photon": _flag("fixed photon energy, eV", type=float, default=1.0),
+    "--theta-steps": _flag("polar angles of the polarization", type=int, default=33),
+    "--phi-steps": _flag("azimuths of the polarization", type=int, default=32),
+}
+
+_WEDGE = "--n --alpha --rho --beta"
+_CONSTS = "--c-au --e-b-ev --b-norm"
+_DATASET = f"{_WEDGE} --delta --orbit-source {_CONSTS} --output/-o --format"
+
+#: One row per subcommand: its help, its flags and its runner.
+_COMMANDS = {
+    "orbits": ("print the closed-orbit catalog", f"{_WEDGE} --orbit-source",
+               _cmd_orbits),
+    "spectrum": ("cross section over a photon-energy grid",
+                 f"{_DATASET} --pol --e-min --e-max --steps",
+                 _dataset("energy_sweep", _energy_grid)),
+    "decompose": ("per-orbit terms over a photon-energy grid",
+                  f"{_DATASET} --pol --e-min --e-max --steps",
+                  _dataset("orbit_decomposition", _energy_grid)),
+    "sweep-rho": ("cross section vs ion distance",
+                  f"{_DATASET} --pol --rho-min --rho-max --steps --e-photon",
+                  _dataset("position_sweep", lambda a, w: (
+                      "rho", a.rho_min, a.rho_max, a.steps, a.e_photon))),
+    "sweep-beta": ("cross section vs ion declination",
+                   f"{_DATASET} --pol --beta-min --beta-max --steps --e-photon",
+                   _dataset("position_sweep", _beta_grid)),
+    "polmap": ("sigma_osc over polarization directions",
+               f"{_DATASET} --theta-steps --phi-steps --e-photon",
+               _dataset("polarization_map", lambda a, w: (
+                   a.theta_steps, a.phi_steps, a.e_photon))),
+    "verify": ("run the quadrature oracle checks", _CONSTS, _cmd_verify),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    wedge = argparse.ArgumentParser(add_help=False)
-    wedge.add_argument("--n", type=int, help="wedge opening angle pi/N")
-    wedge.add_argument("--alpha", help="wedge opening angle in radians or pi form")
-    wedge.add_argument("--rho", type=float, default=200.0,
-                       help="ion distance from the apex in bohr (default 200)")
-    wedge.add_argument("--beta", default="pi/15",
-                       help="ion declination from the left surface (default pi/15)")
-
-    consts = argparse.ArgumentParser(add_help=False)
-    consts.add_argument("--c-au", type=float, help="speed of light override")
-    consts.add_argument("--e-b-ev", type=float, help="binding energy override, eV")
-    consts.add_argument("--b-norm", type=float,
-                        help="bound-state normalization override")
-
-    phys = argparse.ArgumentParser(add_help=False)
-    phys.add_argument("--pol", default="x",
-                      help="polarization: x, y, z, or 'theta,phi' (default x)")
-    phys.add_argument("--delta", default="hard",
-                      help="reflection phase loss: hard, soft, or radians")
-    phys.add_argument("--orbit-source", choices=("analytic", "numeric"),
-                      default="analytic")
-
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--output", "-o", help="output path (default stdout)")
-    out.add_argument("--format", choices=("csv", "json"), default="csv")
-
     parser = argparse.ArgumentParser(
         prog="wedge-cot",
         description="Closed-orbit photodetachment cross sections for an ion "
@@ -359,54 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wedge-cot {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("orbits", parents=[wedge],
-                       help="print the closed-orbit catalog")
-    p.add_argument("--orbit-source", choices=("analytic", "numeric"),
-                   default="analytic")
-    p.set_defaults(func=_cmd_orbits)
-
-    for name in ("spectrum", "decompose"):
-        p = sub.add_parser(name, parents=[wedge, phys, consts, out],
-                           help=f"{name} over a photon-energy grid")
-        p.add_argument("--e-min", type=float, default=0.76,
-                       help="grid start, eV (default 0.76)")
-        p.add_argument("--e-max", type=float, default=1.4,
-                       help="grid stop, eV (default 1.4)")
-        p.add_argument("--steps", type=int, default=2048)
-        p.set_defaults(func=_cmd_dataset)
-
-    p = sub.add_parser("sweep-rho", parents=[wedge, phys, consts, out],
-                       help="cross section vs ion distance")
-    p.add_argument("--rho-min", type=float, default=50.0)
-    p.add_argument("--rho-max", type=float, default=800.0)
-    p.add_argument("--steps", type=int, default=2048)
-    p.add_argument("--e-photon", type=float, default=1.0,
-                   help="fixed photon energy, eV (default 1.0)")
-    p.set_defaults(func=_cmd_dataset)
-
-    p = sub.add_parser("sweep-beta", parents=[wedge, phys, consts, out],
-                       help="cross section vs ion declination")
-    p.add_argument("--beta-min", help="grid start (default the guard band edge)")
-    p.add_argument("--beta-max", help="grid stop (default the guard band edge)")
-    p.add_argument("--steps", type=int, default=2048)
-    p.add_argument("--e-photon", type=float, default=1.0)
-    p.set_defaults(func=_cmd_dataset)
-
-    p = sub.add_parser("polmap", parents=[wedge, consts, out],
-                       help="sigma_osc over polarization directions")
-    p.add_argument("--delta", default="hard")
-    p.add_argument("--orbit-source", choices=("analytic", "numeric"),
-                   default="analytic")
-    p.add_argument("--theta-steps", type=int, default=33)
-    p.add_argument("--phi-steps", type=int, default=32)
-    p.add_argument("--e-photon", type=float, default=1.0)
-    p.set_defaults(func=_cmd_dataset)
-
-    p = sub.add_parser("verify", parents=[consts],
-                       help="run the quadrature oracle checks")
-    p.set_defaults(func=_cmd_verify)
-
+    for command, (help_text, flags, run) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags.split():
+            p.add_argument(*flag.split("/"), **_OPTIONS[flag])
+        p.set_defaults(func=run)
     return parser
 
 
@@ -424,15 +397,9 @@ def main(argv=None) -> int:
             os.close(devnull)
             raise OutputError("cannot write to stdout: its reader has closed") from None
         return status
-    except ValidationError as exc:
-        print(f"error[{exc.code}] {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error[{exc.code}] {exc}", file=sys.stderr)
-        return 3
     except WedgeCotError as exc:
         print(f"error[{exc.code}] {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

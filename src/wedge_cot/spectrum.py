@@ -28,7 +28,9 @@ from .errors import (
     ClosedFormDeltaError,
     ValidationError,
 )
-from .geometry import BETA_MIN, TWO_PI, IonPosition, WedgeGeometry, validate_beta
+from .geometry import (
+    BETA_MIN, TWO_PI, IonPosition, WedgeGeometry, guard_band, validate_beta,
+)
 from .orbits import (
     ClosedOrbit,
     default_search_config,
@@ -290,13 +292,15 @@ def orbit_catalog(
     """Closed orbits of the ion.  A pi/N wedge gets the image enumeration
     ``enumerate_analytic`` from either source, so 'numeric' equals
     'analytic' there bit for bit; any other opening angle takes the
-    shooting search, and only from source 'numeric'.  Built afresh on every
-    call; callers that keep the ion fixed build it once, and a position
-    sweep on a pi/N wedge builds it at its first point only."""
+    shooting search, and only from source 'numeric'.  A wedge narrower than
+    the guard band 2 BETA_MIN is refused.  Built afresh on every call;
+    callers that keep the ion fixed build it once, and a position sweep on
+    a pi/N wedge builds it at its first point only."""
     if source not in ORBIT_SOURCES:
         raise ValidationError(
             f"orbit_source must be one of {ORBIT_SOURCES}, got {source!r}"
         )
+    guard_band(wedge, BETA_MIN)
     if wedge.n_integer is not None:
         return tuple(enumerate_analytic(wedge.n_integer, ion))
     if source == "analytic":

@@ -50,7 +50,10 @@ class Dataset(Record, namedtuple("Dataset", "columns rows meta")):
                 )
             for value in row:
                 if not math.isfinite(value):
-                    raise ValidationError("dataset rows must be finite")
+                    raise ValidationError(
+                        f"{columns[row.index(value)]} is {value} in row "
+                        f"{rows.index(row)} ({columns[0]} = {row[0]})"
+                    )
         return tuple.__new__(cls, (columns, rows, meta))
 
     def column(self, name: str):

@@ -4,6 +4,7 @@ machine-readable errors, and byte-identical reruns."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 
 import wedge_cot
 from wedge_cot.cli import (
+    build_parser,
     format_pi_fraction,
     main,
     parse_angle,
@@ -80,6 +82,60 @@ def test_parse_delta():
     assert parse_delta("hard").delta == math.pi
     assert parse_delta("soft").delta == math.pi / 2
     assert parse_delta("2.5").delta == 2.5
+
+
+# ------------------------------------------------------------------ flags
+
+_WEDGE = {"n": None, "alpha": None, "rho": 200.0, "beta": "pi/15"}
+_CONSTS = {"c_au": None, "e_b_ev": None, "b_norm": None}
+_DATASET = {"delta": "hard", "orbit_source": "analytic", **_CONSTS,
+            "output": None, "format": "csv"}
+_ENERGY_GRID = {"pol": "x", "e_min": 0.76, "e_max": 1.4, "steps": 2048}
+
+#: What each subcommand parses from its name alone: every flag's dest,
+#: default and the default's type.
+DEFAULTS = {
+    "orbits": {**_WEDGE, "orbit_source": "analytic"},
+    "spectrum": {**_WEDGE, **_DATASET, **_ENERGY_GRID},
+    "decompose": {**_WEDGE, **_DATASET, **_ENERGY_GRID},
+    "sweep-rho": {**_WEDGE, **_DATASET, "pol": "x", "rho_min": 50.0,
+                  "rho_max": 800.0, "steps": 2048, "e_photon": 1.0},
+    "sweep-beta": {**_WEDGE, **_DATASET, "pol": "x", "beta_min": None,
+                   "beta_max": None, "steps": 2048, "e_photon": 1.0},
+    "polmap": {**_WEDGE, **_DATASET, "theta_steps": 33, "phi_steps": 32,
+               "e_photon": 1.0},
+    "verify": _CONSTS,
+}
+
+
+@pytest.mark.parametrize("command", DEFAULTS)
+def test_each_subcommand_parses_its_flags_and_defaults(command):
+    parsed = vars(build_parser().parse_args([command]))
+    assert callable(parsed.pop("func"))
+    assert parsed == {"command": command, **DEFAULTS[command]}
+    assert {k: type(v) for k, v in parsed.items()} == {
+        "command": str, **{k: type(v) for k, v in DEFAULTS[command].items()}}
+
+
+def test_short_output_flag():
+    assert build_parser().parse_args(["spectrum", "-o", "x"]).output == "x"
+
+
+@pytest.mark.parametrize("command", DEFAULTS)
+def test_help_describes_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for dest in DEFAULTS[command]:
+        flag = "--" + dest.replace("_", "-")
+        # The flag's entry: its line, plus the indented lines argparse wraps
+        # the help onto.  Whatever follows the invocation after two or more
+        # spaces is the help.
+        entry = re.search(rf"^  {flag}(?=[ ,]|$).*(?:\n   +\S.*)*", text, re.M)
+        assert entry, f"{command} --help lists no {flag}"
+        _, *help_text = re.split(r"\s{2,}", entry.group().strip(), maxsplit=1)
+        assert help_text, f"{command} --help gives {flag} no help"
 
 
 # ------------------------------------------------------------ orbits table
@@ -251,6 +307,37 @@ def test_wedge_narrower_than_the_guard_band_exit_2(command, capsys):
     assert err.startswith("error[beta-out-of-range] opening angle ")
     assert "narrower than the guard band 2 * 0.001: no beta is allowed" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("wedge", [
+    # pi/N within 1e-12: the 2N - 1 orbits overflowed range()
+    ["--alpha", "1e-300", "--orbit-source", "numeric", "--beta", "1e-301"],
+    # pi/N as well: millions of orbits
+    ["--alpha", "1e-6", "--orbit-source", "numeric", "--beta", "1e-7"],
+    # not pi/N: the shooting search's launches
+    ["--alpha", "1e-5", "--orbit-source", "numeric", "--beta", "1e-6"],
+    # the exact table of a pi/N wedge
+    ["--n", "2000", "--beta", "pi/4000"],
+])
+def test_orbits_on_a_wedge_narrower_than_the_guard_band_exit_2(wedge, capsys):
+    assert main(["orbits", *wedge]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[beta-out-of-range] opening angle ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--b-norm", "1e300", "--steps", "4"],
+     "sigma0_au is inf in row 0 (E_photon_eV = 0.76)"),
+    (["spectrum", "--rho", "1e-310", "--delta", "soft", "--steps", "4"],
+     "sigma_osc_au is nan in row 0 (E_photon_eV = 0.76)"),
+])
+def test_non_finite_dataset_entry_exit_2_and_say_where(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error[invalid-input] {message}\n"
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -44,6 +44,11 @@ def test_dataset_rejects_ragged_rows():
 def test_dataset_rejects_non_finite_entries():
     with pytest.raises(ValidationError):
         Dataset(columns=("a",), rows=((math.inf,),), meta=())
+    # The message names the column, the row, the value and the row's first
+    # column.
+    with pytest.raises(ValidationError, match=r"^b is nan in row 1 \(a = 3\.0\)$"):
+        Dataset(columns=("a", "b", "c"), rows=((1.0, 2.0, 0.0), (3.0, math.nan, 0.0)),
+                meta=())
 
 
 def test_dataset_column_accessor():
