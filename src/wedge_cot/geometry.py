@@ -46,8 +46,9 @@ class WedgeGeometry(Record, namedtuple("WedgeGeometry", "opening_angle n_integer
     """Open wedge cavity with apex at the origin.
 
     ``n_integer`` is filled automatically whenever the opening angle equals
-    pi/N for a positive integer N (to within 1e-12); only then does the
-    analytic closed-orbit catalog apply.
+    pi/N for a positive integer N, to within 1e-12 times min(1, pi/N), a
+    tolerance that shrinks with a narrow wedge; only then does the analytic
+    closed-orbit catalog apply.
     """
 
     __slots__ = ()
@@ -60,15 +61,16 @@ class WedgeGeometry(Record, namedtuple("WedgeGeometry", "opening_angle n_integer
             )
         if n_integer is None:
             n = round(math.pi / alpha)
-            if n >= 1 and abs(alpha - math.pi / n) <= 1e-12:
+            if n >= 1 and abs(alpha - math.pi / n) <= 1e-12 * min(1.0, math.pi / n):
                 n_integer = n
         else:
             n = n_integer
             if not (isinstance(n, int) and n >= 1):
                 raise ValidationError("n_integer must be a positive integer")
-            if abs(alpha - math.pi / n) > 1e-12:
+            if abs(alpha - math.pi / n) > 1e-12 * min(1.0, math.pi / n):
                 raise ValidationError(
-                    f"opening angle {alpha!r} is not pi/{n} within 1e-12"
+                    f"opening angle {alpha!r} is not pi/{n} within "
+                    "1e-12 * min(1, pi/N)"
                 )
         return tuple.__new__(cls, (opening_angle, n_integer))
 

@@ -15,6 +15,14 @@ here independently of the orbit catalog; z polarization leaves no imprint.
 
 Energies are in hartree internally; photon energies enter in eV.  Cross
 sections are in bohr^2.
+
+Every orbit sum has the same bits, whichever function evaluates it: the
+terms prefactor * f_out * f_ret * sin(k L - m Delta) / L in catalog order,
+added by a running sum from 0.0, never with sum(), whose float sums are
+compensated (Neumaier) from CPython 3.12 on and would make the bytes
+depend on the Python version.  Each phase is phase_sin's: the sums
+inline its first branch, sin(k L - m Delta) as written when k L < 2**32,
+and call it for the rest.
 """
 
 from __future__ import annotations
@@ -191,7 +199,8 @@ def phase_sin(k: float, length: float, shift: float) -> float:
 
     Dekker's split overflows for factors above about 1.3e300, so the
     reduction fails for such a k, length or k*length/(2 pi); that raises
-    ValidationError rather than returning nan.
+    ValidationError rather than returning nan.  _waves and
+    sweeps._energy_grid inline the first branch; keep them in step.
     """
     product = k * length
     if product < _REDUCE_THRESHOLD:
@@ -260,8 +269,14 @@ def _paths(
 
 
 def _waves(k: float, paths: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """(sin(k L - m Delta), L) of each orbit."""
-    return [(phase_sin(k, length, shift), length) for length, shift in paths]
+    """(sin(k L - m Delta), L) of each orbit: phase_sin's value, with its
+    first branch, k L < 2**32, inlined."""
+    sin = math.sin
+    return [
+        (sin(kl - shift) if (kl := k * length) < _REDUCE_THRESHOLD
+         else phase_sin(k, length, shift), length)
+        for length, shift in paths
+    ]
 
 
 def _orbit_sum(
@@ -271,8 +286,11 @@ def _orbit_sum(
 ) -> tuple[float, list[float]]:
     """sigma_osc and its per-orbit terms, in catalog order.
 
-    The explicit running sum fixes the rounding; built-in sum() may
-    compensate and change the last bits.
+    sigma_osc is the left fold ((0.0 + t_1) + t_2) + ... of an explicit
+    running sum.  Never sum(): from CPython 3.12 it compensates float sums
+    (Neumaier), so the last bits, and the output bytes, would depend on the
+    Python version.  (functools.reduce(operator.add, ...) folds the same
+    way, but is slower than this loop's specialised float add on 3.11.)
     """
     terms = [
         prefactor * f_out * f_ret * phase / length

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain
 
 from .constants import DEFAULT_CONSTANTS, VERSION, PhysicalConstants
 from .errors import BelowThresholdError, GridError, ValidationError
-from .geometry import BETA_MIN, IonPosition, WedgeGeometry, validate_beta
+from .geometry import BETA_MIN, TWO_PI, IonPosition, WedgeGeometry, validate_beta
 from .orbits import _template
 from .records import Record
 from .spectrum import (
+    _REDUCE_THRESHOLD,
     Polarization,
     ReflectionModel,
     _angles,
@@ -29,6 +31,7 @@ from .spectrum import (
     _waves,
     energy_conversion,
     orbit_catalog,
+    phase_sin,
     sigma_background,
 )
 
@@ -43,17 +46,20 @@ class Dataset(Record, namedtuple("Dataset", "columns rows meta")):
     def __new__(cls, columns: tuple[str, ...], rows: tuple[tuple[float, ...], ...],
                 meta: MetaPairs):
         width = len(columns)
-        for row in rows:
-            if len(row) != width:
-                raise ValidationError(
-                    f"row width {len(row)} does not match {width} columns"
-                )
-            for value in row:
-                if not math.isfinite(value):
+        # Both checks in C; the loop below only finds the entry to name.
+        if not (set(map(len, rows)) <= {width}
+                and all(map(math.isfinite, chain.from_iterable(rows)))):
+            for r, row in enumerate(rows):
+                if len(row) != width:
                     raise ValidationError(
-                        f"{columns[row.index(value)]} is {value} in row "
-                        f"{rows.index(row)} ({columns[0]} = {row[0]})"
+                        f"row width {len(row)} does not match {width} columns"
                     )
+                for value in row:
+                    if not math.isfinite(value):
+                        raise ValidationError(
+                            f"{columns[row.index(value)]} is {value} in row "
+                            f"{r} ({columns[0]} = {row[0]})"
+                        )
         return tuple.__new__(cls, (columns, rows, meta))
 
     def column(self, name: str):
@@ -139,13 +145,26 @@ def _energy_grid(
     validate_beta(wedge, ion, BETA_MIN)
     catalog = orbit_catalog(wedge, ion, orbit_source)
     factors, paths = _factors(_angles(catalog), pol), _paths(catalog, refl)
+    # (f_out, f_ret, L, m Delta) of each orbit.
+    orbits = [(*f, *p) for f, p in zip(factors, paths)]
+    sin = math.sin
     points = []
     for e_ph in _linspace(start_ev, stop_ev, steps):
         energy, k = energy_conversion(e_ph, consts)
         sigma0 = sigma_background(energy, consts)
-        points.append(
-            (e_ph, sigma0, *_orbit_sum(3.0 * sigma0 / k, factors, _waves(k, paths)))
-        )
+        prefactor = 3.0 * sigma0 / k
+        # _orbit_sum(prefactor, factors, _waves(k, paths)) in one pass.
+        terms = [
+            prefactor * f_out * f_ret
+            * (sin(kl - shift) if (kl := k * length) < _REDUCE_THRESHOLD
+               else phase_sin(k, length, shift))
+            / length
+            for f_out, f_ret, length, shift in orbits
+        ]
+        sigma_osc = 0.0
+        for term in terms:
+            sigma_osc += term
+        points.append((e_ph, sigma0, sigma_osc, terms))
     meta = _base_meta(
         generator, wedge, consts,
         rho_a0=ion.rho, beta_rad=ion.beta,
@@ -329,11 +348,27 @@ def polarization_map(
     catalog = orbit_catalog(wedge, ion, orbit_source)
     angles, waves = _angles(catalog), _waves(k, _paths(catalog, refl))
     phis = _linspace(0.0, 2.0 * math.pi, phi_steps, endpoint=False)
+    # _factors(angles, Polarization(theta, phi)) in two halves: the cosines
+    # once per phi column, with phi_L reduced as Polarization reduces it,
+    # and sin(theta_L) once per row.
+    columns = []
+    for phi in phis:
+        phi_l = phi % TWO_PI
+        columns.append((phi, [
+            (math.cos(phi_out - phi_l), math.cos(phi_ret - phi_l), phase, length)
+            for (phi_out, phi_ret), (phase, length) in zip(angles, waves)
+        ]))
     rows = []
     for theta in _linspace(0.0, math.pi, theta_steps):
-        for phi in phis:
-            factors = _factors(angles, Polarization(theta, phi))
-            rows.append((theta, phi, _orbit_sum(prefactor, factors, waves)[0]))
+        sin_theta = math.sin(theta)
+        for phi, column in columns:
+            # _orbit_sum(prefactor, factors, waves)[0] in one pass.
+            sigma_osc = 0.0
+            for c_out, c_ret, phase, length in column:
+                sigma_osc += (
+                    prefactor * (sin_theta * c_out) * (sin_theta * c_ret) * phase / length
+                )
+            rows.append((theta, phi, sigma_osc))
     meta = _base_meta(
         "polarization_map", wedge, consts,
         rho_a0=ion.rho, beta_rad=ion.beta,

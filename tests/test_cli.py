@@ -312,7 +312,7 @@ def test_wedge_narrower_than_the_guard_band_exit_2(command, capsys):
 @pytest.mark.parametrize("wedge", [
     # pi/N within 1e-12: the 2N - 1 orbits overflowed range()
     ["--alpha", "1e-300", "--orbit-source", "numeric", "--beta", "1e-301"],
-    # pi/N as well: millions of orbits
+    # 1.1e-7 (relative) from pi/3141593: not pi/N, the shooting search
     ["--alpha", "1e-6", "--orbit-source", "numeric", "--beta", "1e-7"],
     # not pi/N: the shooting search's launches
     ["--alpha", "1e-5", "--orbit-source", "numeric", "--beta", "1e-6"],

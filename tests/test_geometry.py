@@ -37,6 +37,25 @@ def azimuth(vec):
     return math.atan2(vec[1], vec[0]) % (2.0 * math.pi)
 
 
+# ------------------------------------------------------------ pi/N test
+
+@pytest.mark.parametrize("alpha, n", [(2e-6, 1570796), (1e-7, 31415927)])
+def test_narrow_wedge_is_not_pi_over_n_by_an_absolute_tolerance(alpha, n):
+    """2e-6 lies 4.2e-13 from pi/1570796, inside an absolute 1e-12 but
+    2e-7 of the angle; the tolerance scales with pi/N, so neither wedge
+    takes the analytic catalog."""
+    assert abs(alpha - math.pi / n) < 1e-12
+    assert WedgeGeometry.from_alpha(alpha).n_integer is None
+    with pytest.raises(ValidationError, match=r"is not pi/\d+ within"):
+        WedgeGeometry(alpha, n)
+
+
+def test_every_pi_over_n_keeps_its_n():
+    for n in [*range(1, 201), 10**6 + 3]:
+        assert WedgeGeometry.from_n(n).n_integer == n
+        assert WedgeGeometry.from_alpha(math.pi / n).n_integer == n
+
+
 # ------------------------------------------------------------ angle wrap
 
 def test_wrap_angle_stays_below_two_pi():

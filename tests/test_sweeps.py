@@ -21,6 +21,7 @@ from wedge_cot.spectrum import (
     ReflectionModel,
     energy_conversion,
     orbit_catalog,
+    phase_sin,
     sigma_background,
     sigma_total,
 )
@@ -49,6 +50,20 @@ def test_dataset_rejects_non_finite_entries():
     with pytest.raises(ValidationError, match=r"^b is nan in row 1 \(a = 3\.0\)$"):
         Dataset(columns=("a", "b", "c"), rows=((1.0, 2.0, 0.0), (3.0, math.nan, 0.0)),
                 meta=())
+
+
+@pytest.mark.parametrize("last, message", [
+    ((4095.0, 1.0), r"^row width 2 does not match 3 columns$"),
+    ((4095.0, 1.0, 2.0, 3.0), r"^row width 4 does not match 3 columns$"),
+    ((4095.0, math.nan, 2.0), r"^b is nan in row 4095 \(a = 4095\.0\)$"),
+    ((4095.0, 1.0, math.inf), r"^c is inf in row 4095 \(a = 4095\.0\)$"),
+    ((-math.inf, 1.0, 2.0), r"^a is -inf in row 4095 \(a = -inf\)$"),
+])
+def test_dataset_names_a_bad_last_row_of_a_large_table(last, message):
+    rows = tuple((float(r), 1.0, 2.0) for r in range(4095))
+    assert len(Dataset(columns=("a", "b", "c"), rows=rows, meta=()).rows) == 4095
+    with pytest.raises(ValidationError, match=message):
+        Dataset(columns=("a", "b", "c"), rows=rows + (last,), meta=())
 
 
 def test_dataset_column_accessor():
@@ -189,6 +204,58 @@ def test_decomposition_total_matches_sigma_total(hard):
                                       ion, pol, refl, source).rows:
                 p = point(1.0, pol, IonPosition(ion.rho, row[0]))
                 assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)
+
+
+def _phase_sin_osc(e_photon_ev, wedge, ion, pol, refl):
+    """sigma_osc with every phase from phase_sin and a += running sum: the
+    reference for the generators' one-pass sums."""
+    energy, k = energy_conversion(e_photon_ev)
+    prefactor = 3.0 * sigma_background(energy) / k
+    st = math.sin(pol.theta_L)
+    osc = 0.0
+    for o in orbit_catalog(wedge, ion):
+        f_out = st * math.cos(o.phi_out - pol.phi_L)
+        f_ret = st * math.cos(o.phi_ret - pol.phi_L)
+        osc += prefactor * f_out * f_ret * phase_sin(k, o.length, o.m * refl.delta) / o.length
+    return osc
+
+
+def test_energy_grids_match_sigma_total_past_the_naive_phase(hard):
+    """The generators inline phase_sin's first branch, sin(k L - m Delta) as
+    written while k L < 2**32, and call phase_sin past it.  At rho = 1e12
+    every energy is past 2**32; at rho = 1.8e10 the longest k L crosses it
+    inside 0.9..1.1 eV.  Rows, decomposition totals and the folds of their
+    terms, and polmap cells all equal per-point sigma_total and the
+    phase_sin reference bit for bit."""
+    oblique = Polarization(0.8, 2.1)
+    k_min, k_max = (energy_conversion(e)[1] for e in (0.9, 1.1))
+    for n in range(1, 9):
+        wedge = WedgeGeometry.from_n(n)
+        for refl in (hard, ReflectionModel.soft()):
+            for rho in (1.8e10, 1e12):
+                ion = IonPosition(rho, 0.3 * wedge.opening_angle)
+                longest = max(o.length for o in orbit_catalog(wedge, ion))
+                assert k_max * longest >= 2**32
+                assert (k_min * longest < 2**32) == (rho < 1e12)
+
+                def point(e, pol=oblique):
+                    p = sigma_total(e, wedge, ion, pol, refl)
+                    assert p.sigma_osc == _phase_sin_osc(e, wedge, ion, pol, refl)
+                    return p
+
+                args = (0.9, 1.1, 16, wedge, ion, oblique, refl)
+                for row in energy_sweep(*args).rows:
+                    p = point(row[0])
+                    assert row == (p.e_photon_ev, p.sigma0, p.sigma_osc, p.sigma)
+                for row in orbit_decomposition(*args).rows:
+                    running = 0.0
+                    for term in row[2:]:
+                        running += term
+                    assert row[1] == running == point(row[0]).sigma_osc
+                for e in (0.9, 1.1):
+                    for theta, phi, osc in polarization_map(
+                            3, 4, e, wedge, ion, refl).rows:
+                        assert osc == point(e, Polarization(theta, phi)).sigma_osc
 
 
 def _band(n):
