@@ -16,9 +16,10 @@ here independently of the orbit catalog; z polarization leaves no imprint.
 Energies are in hartree internally; photon energies enter in eV.  Cross
 sections are in bohr^2.
 
-Every orbit sum has the same bits, whichever function evaluates it: the
-terms prefactor * f_out * f_ret * sin(k L - m Delta) / L in catalog order,
-added by a running sum from 0.0, never with sum(), whose float sums are
+Every orbit sum has the same bits, whichever function evaluates it:
+sigma_total, an energy grid, a polarization map or a position sweep.  The
+terms prefactor * f_out * f_ret * sin(k L - m Delta) / L, in catalog order,
+are added by a running sum from 0.0, never with sum(), whose float sums are
 compensated (Neumaier) from CPython 3.12 on and would make the bytes
 depend on the Python version.  Each phase is phase_sin's: the sums
 inline its first branch, sin(k L - m Delta) as written when k L < 2**32,
@@ -110,15 +111,23 @@ class ReflectionModel(Record, namedtuple("ReflectionModel", "delta")):
 class SpectrumPoint(Record, namedtuple(
     "SpectrumPoint", "e_photon_ev energy k sigma0 sigma_osc sigma"
 )):
-    """Cross section at one photon energy, split into its parts."""
+    """Cross section at one photon energy, split into its parts; every
+    field finite."""
 
     __slots__ = ()
 
     def __new__(cls, e_photon_ev: float, energy: float, k: float,
                 sigma0: float, sigma_osc: float, sigma: float):
+        fields = (e_photon_ev, energy, k, sigma0, sigma_osc, sigma)
+        if not all(map(math.isfinite, fields)):
+            for name, value in zip(cls._fields, fields):
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"{name} is {value} (e_photon_ev = {e_photon_ev!r})"
+                    )
         if sigma != sigma0 + sigma_osc:
             raise ValidationError("sigma must equal sigma0 + sigma_osc exactly")
-        return tuple.__new__(cls, (e_photon_ev, energy, k, sigma0, sigma_osc, sigma))
+        return tuple.__new__(cls, fields)
 
     @classmethod
     def build(
@@ -160,6 +169,12 @@ def sigma_background(
             )
     except OverflowError:
         pass
+    except ZeroDivisionError:
+        raise ValidationError(
+            f"detached-electron energy {energy!r} hartree is out of range: "
+            "3 c (E_b + E)**3 in the background cross section underflows to "
+            f"zero (c = {consts.c_light!r}, E_b = {e_b!r} hartree)"
+        ) from None
     raise ValidationError(
         f"detached-electron energy {energy!r} hartree is too large: "
         "its powers in the background cross section overflow"
@@ -199,8 +214,9 @@ def phase_sin(k: float, length: float, shift: float) -> float:
 
     Dekker's split overflows for factors above about 1.3e300, so the
     reduction fails for such a k, length or k*length/(2 pi); that raises
-    ValidationError rather than returning nan.  _waves and
-    sweeps._energy_grid inline the first branch; keep them in step.
+    ValidationError rather than returning nan.  _waves,
+    sweeps._energy_grid and sweeps.position_sweep inline the first branch;
+    keep them in step.
     """
     product = k * length
     if product < _REDUCE_THRESHOLD:

@@ -249,10 +249,13 @@ def position_sweep(
     [BETA_MIN, alpha - BETA_MIN].
 
     A pi/N wedge, from either orbit source, builds a catalog at the first
-    point and the orbit template once; then a rho sweep recomputes only the
-    waves, and a beta sweep only the odd-j waves and the even-j polarization
-    factors.  Any other wedge runs the shooting search at every point.
-    Rows equal per-point ``sigma_total`` bit for bit.
+    point only, and the orbit template once.  From the two it pairs the
+    constants of each orbit once per sweep; every later point is then one
+    pass over them.  A rho point scales every length; a beta point moves
+    the odd-j lengths and turns the even-j polarization factors.  Any other
+    wedge runs the shooting search at every point.  Rows equal per-point
+    ``sigma_total`` bit for bit, and a point that fails raises what its
+    ``sigma_total`` would.
     """
     _validate_grid(start, stop, steps)
     if variable not in POSITION_VARIABLES:
@@ -283,37 +286,79 @@ def position_sweep(
         return (value, sigma0, sigma_osc, sigma0 + sigma_osc)
 
     # The first point comes from its catalog, so it fails as a per-point
-    # catalog would.  A pi/N sweep then keeps the half of its lists that
-    # the template says stays fixed and recomputes only the other half.
+    # catalog would.  A pi/N sweep then pairs the constants of each orbit
+    # once, from the template and that catalog, and takes every later point
+    # as _orbit_sum(prefactor, factors, waves) in one pass: the same terms in
+    # the same order, with phase_sin's first branch inlined as in _waves.
+    # Each moving length is 2 rho times a chord in (0, 1], so the shortest
+    # says whether all stay in (0, inf); the fixed ones passed at the first
+    # point.  A length outside is the catalog's to reject.
     grid = _linspace(start, stop, steps)
     factors, waves = from_catalog(grid[0])
     rows = [row(grid[0], factors, waves)]
-    if wedge.n_integer:
+    sin, cos = math.sin, math.cos
+    if not wedge.n_integer:
+        rows += [row(value, *from_catalog(value)) for value in grid[1:]]
+    elif variable == "rho":
+        # No angle moves: (f_out, f_ret, chord, m Delta) in j order.
         template = _template(wedge.n_integer)
-        if variable == "rho":
-            # Every length moves with rho, no angle does.
-            moving, chords = slice(None), template.chords(ion.beta)
-        else:
-            # Odd-j lengths (slots 0, 2, ...) and even-j angles (1, 3, ...)
-            # move with beta.
-            moving = slice(0, None, 2)
-        shifts = [m * refl.delta for m in template.m][moving]
-    for value in grid[1:]:
-        if wedge.n_integer and variable == "beta":
+        chords = template.chords(ion.beta)
+        orbits = [(*f, chord, m * refl.delta)
+                  for f, chord, m in zip(factors, chords, template.m)]
+        shortest = min(chords)
+        for value in grid[1:]:
+            scale = 2.0 * value
+            if not 0.0 < scale * shortest < math.inf:
+                rows.append(row(value, *from_catalog(value)))
+                continue
+            terms = [
+                prefactor * f_out * f_ret
+                * (sin(kl - shift)
+                   if (kl := k * (length := scale * chord)) < _REDUCE_THRESHOLD
+                   else phase_sin(k, length, shift))
+                / length
+                for f_out, f_ret, chord, shift in orbits
+            ]
+            sigma_osc = 0.0
+            for term in terms:
+                sigma_osc += term
+            rows.append((value, sigma0, sigma_osc, sigma0 + sigma_osc))
+    else:
+        # Odd j keep their factors and move their chords with beta:
+        # (f_out, f_ret, m Delta).  Even j keep their waves and turn by
+        # beta: (phi_out - beta, phi_ret - beta, sin(k L - m Delta), L),
+        # with the factors _factors(template.even_angles(beta), pol) gives.
+        template = _template(wedge.n_integer)
+        odd = [(*f, m * refl.delta)
+               for f, m in zip(factors[0::2], template.m[0::2])]
+        even = [(*base, *wave)
+                for base, wave in zip(template.even_bases, waves[1::2])]
+        scale = 2.0 * ion.rho
+        sin_theta, phi_l = math.sin(pol.theta_L), pol.phi_L
+        terms = [0.0] * len(waves)
+        for value in grid[1:]:
             chords = template.odd_chords(value)
-        # Each moving length is 2 rho times a chord in (0, 1], so the
-        # shortest says whether all stay in (0, inf); the fixed ones passed
-        # at the first point.  A length outside is the catalog's to reject.
-        scale = 2.0 * (value if variable == "rho" else ion.rho)
-        if wedge.n_integer and 0.0 < scale * min(chords) < math.inf:
-            waves[moving] = _waves(
-                k, [(scale * chord, shift) for chord, shift in zip(chords, shifts)]
-            )
-            if variable == "beta":
-                factors[1::2] = _factors(template.even_angles(value), pol)
-        else:
-            factors, waves = from_catalog(value)
-        rows.append(row(value, factors, waves))
+            if not 0.0 < scale * min(chords) < math.inf:
+                rows.append(row(value, *from_catalog(value)))
+                continue
+            terms[0::2] = [
+                prefactor * f_out * f_ret
+                * (sin(kl - shift)
+                   if (kl := k * (length := scale * chord)) < _REDUCE_THRESHOLD
+                   else phase_sin(k, length, shift))
+                / length
+                for (f_out, f_ret, shift), chord in zip(odd, chords)
+            ]
+            terms[1::2] = [
+                prefactor * (sin_theta * cos(out + value - phi_l))
+                * (sin_theta * cos((ret + value) % TWO_PI - phi_l))
+                * phase / length
+                for out, ret, phase, length in even
+            ]
+            sigma_osc = 0.0
+            for term in terms:
+                sigma_osc += term
+            rows.append((value, sigma0, sigma_osc, sigma0 + sigma_osc))
     meta = _base_meta(
         "position_sweep", wedge, consts,
         variable=variable,

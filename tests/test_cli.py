@@ -332,12 +332,33 @@ def test_orbits_on_a_wedge_narrower_than_the_guard_band_exit_2(wedge, capsys):
      "sigma0_au is inf in row 0 (E_photon_eV = 0.76)"),
     (["spectrum", "--rho", "1e-310", "--delta", "soft", "--steps", "4"],
      "sigma_osc_au is nan in row 0 (E_photon_eV = 0.76)"),
+    (["sweep-rho", "--rho-min", "1e-310", "--rho-max", "1", "--delta", "soft",
+      "--steps", "3"],
+     "sigma_osc_au is nan in row 0 (rho_a0 = 1e-310)"),
+    (["sweep-beta", "--rho", "1e-310", "--delta", "soft", "--steps", "3"],
+     "sigma_osc_au is nan in row 0 (beta_rad = 0.001)"),
 ])
 def test_non_finite_dataset_entry_exit_2_and_say_where(argv, message, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error[invalid-input] {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--e-b-ev", "1e-320", "--e-min", "1e-319", "--e-max", "1",
+     "--steps", "3"],
+    ["sweep-rho", "--e-b-ev", "1e-320", "--e-photon", "1e-319", "--steps", "3"],
+    ["spectrum", "--c-au", "1e-320", "--steps", "3"],
+])
+def test_background_denominator_underflow_exit_2(argv, capsys):
+    # 3 c (E_b + E)**3 rounds to zero: no ZeroDivisionError traceback.
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[invalid-input] detached-electron energy ")
+    assert "underflows to zero" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

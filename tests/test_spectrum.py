@@ -23,6 +23,7 @@ from wedge_cot.orbits import enumerate_analytic
 from wedge_cot.spectrum import (
     Polarization,
     ReflectionModel,
+    SpectrumPoint,
     angular_factor,
     energy_conversion,
     orbit_term,
@@ -269,6 +270,23 @@ def test_sigma_total_at_extreme_lengths_names_the_problem(wedge5, hard):
     # 2 rho overflows: the catalog rejects the infinite length first.
     with pytest.raises(ZeroLengthOrbitError, match="got inf"):
         sigma_total(1.0, wedge5, IonPosition(1e308, math.pi / 15), pol, hard)
+
+
+def test_sigma_total_names_a_non_finite_sigma_osc(wedge5):
+    # Far inside the wavelength 1/L overflows, and +inf and -inf terms sum
+    # to nan.
+    with pytest.raises(ValidationError,
+                       match=r"^sigma_osc is nan \(e_photon_ev = 1\.0\)$"):
+        sigma_total(1.0, wedge5, IonPosition(1e-310, 0.2), Polarization.x(),
+                    ReflectionModel.soft())
+    fields = dict(e_photon_ev=1.0, energy=0.01, k=0.1, sigma0=1.0,
+                  sigma_osc=0.5, sigma=1.5)
+    for name in ("sigma0", "sigma_osc", "sigma"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError, match=f"^{name} is {value} "):
+                SpectrumPoint(**{**fields, name: value})
+    with pytest.raises(ValidationError, match="sigma0 \\+ sigma_osc exactly"):
+        SpectrumPoint(**{**fields, "sigma": math.nextafter(1.5, 2.0)})
 
 
 def test_sigma_total_enforces_beta_guard(wedge5, hard):

@@ -407,6 +407,52 @@ def test_position_sweep_at_extreme_lengths_names_the_problem(wedge5, ion_ref,
                        IonPosition(1e-323, ion_ref.beta), x, hard)
 
 
+def test_beta_sweep_names_a_failing_even_orbit_as_its_first_point_does(wedge5,
+                                                                      hard):
+    # At rho = 1e300 the first orbit in j order whose phase cannot be
+    # reduced has even j, whose length does not move with beta.
+    x = Polarization.x()
+    alpha = wedge5.opening_angle
+    far = IonPosition(1e300, alpha - 0.02)
+    message = r"L = 1\.902113032590307e\+300\)"
+    with pytest.raises(ValidationError, match=message):
+        sigma_total(1.0, wedge5, far, x, hard)
+    with pytest.raises(ValidationError, match=message):
+        position_sweep("beta", alpha - 0.02, alpha - BETA_MIN, 16, 1.0, wedge5,
+                       far, x, hard)
+
+
+def test_position_sweep_builds_one_catalog_on_pi_over_n_only(monkeypatch,
+                                                            ion_ref, hard):
+    """A pi/N sweep builds the catalog of its first point only; off pi/N
+    every point runs the shooting search.  The rows cannot tell: a catalog
+    at every point gives the same bits."""
+    import wedge_cot.sweeps
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return orbit_catalog(*args, **kwargs)
+
+    monkeypatch.setattr(wedge_cot.sweeps, "orbit_catalog", counted)
+    x = Polarization.x()
+    wedge = WedgeGeometry.from_n(5)
+    band = (BETA_MIN, wedge.opening_angle - BETA_MIN)
+    for source in ("analytic", "numeric"):
+        for variable, ends in (("rho", (50.0, 800.0)), ("beta", band)):
+            built.clear()
+            position_sweep(variable, *ends, 64, 1.0, wedge, ion_ref, x, hard,
+                           source)
+            assert len(built) == 1
+    wide = WedgeGeometry.from_alpha(2.0)
+    for variable, ends in (("rho", (50.0, 800.0)), ("beta", (0.5, 1.0))):
+        built.clear()
+        position_sweep(variable, *ends, 3, 1.0, wide, IonPosition(200.0, 0.7),
+                       x, hard, "numeric")
+        assert len(built) == 3
+
+
 # -------------------------------------------------------- polarization map
 
 def test_polarization_map_shape_and_out_of_plane_zero(wedge5, ion_ref, hard):
