@@ -152,8 +152,9 @@ def _csv_text(dataset) -> str:
     for key, value in dataset.meta:
         lines.append(f"# {key}={value}")
     lines.append(",".join(dataset.columns))
-    for row in dataset.rows:
-        lines.append(",".join(f"{value:.17g}" for value in row))
+    # One printf template per row: the same digits as f"{value:.17g}".
+    template = ",".join(["%.17g"] * len(dataset.columns))
+    lines += [template % row for row in dataset.rows]
     return "\n".join(lines) + "\n"
 
 

@@ -19,11 +19,16 @@ sections are in bohr^2.
 Every orbit sum has the same bits, whichever function evaluates it:
 sigma_total, an energy grid, a polarization map or a position sweep.  The
 terms prefactor * f_out * f_ret * sin(k L - m Delta) / L, in catalog order,
-are added by a running sum from 0.0, never with sum(), whose float sums are
-compensated (Neumaier) from CPython 3.12 on and would make the bytes
-depend on the Python version.  Each phase is phase_sin's: the sums
-inline its first branch, sin(k L - m Delta) as written when k L < 2**32,
-and call it for the rest.
+are added by a left fold from 0.0, ((0.0 + t_1) + t_2) + ..., never with
+sum(), whose float sums are compensated (Neumaier) from CPython 3.12 on and
+would make the bytes depend on the Python version.  sigma_total, the
+position sweeps and the polarization map fold one point at a time with +=;
+an energy grid folds orbit by orbit, adding each orbit's column of terms to
+the running sums of every point at once, which is the same fold at each
+point.  Each phase is phase_sin's: the sums inline its first branch,
+sin(k L - m Delta) as written when k L < 2**32, and call it for the rest.
+An energy grid decides that branch once per orbit, from k L at the grid's
+largest k.
 """
 
 from __future__ import annotations
@@ -159,26 +164,39 @@ def sigma_background(
         raise BelowThresholdError(
             f"detached-electron energy must be positive, got {energy!r}"
         )
-    b2 = consts.b_norm * consts.b_norm
-    e_b = consts.binding_energy
     try:
         if energy < math.inf:  # inf**1.5 / inf**3 would be nan
-            return (
-                16.0 * math.sqrt(2.0) * b2 * math.pi**2 * energy**1.5
-                / (3.0 * consts.c_light * (e_b + energy) ** 3)
-            )
+            (sigma0,) = _backgrounds([energy], consts)
+            return sigma0
     except OverflowError:
         pass
     except ZeroDivisionError:
         raise ValidationError(
             f"detached-electron energy {energy!r} hartree is out of range: "
             "3 c (E_b + E)**3 in the background cross section underflows to "
-            f"zero (c = {consts.c_light!r}, E_b = {e_b!r} hartree)"
+            f"zero (c = {consts.c_light!r}, E_b = {consts.binding_energy!r} "
+            "hartree)"
         ) from None
     raise ValidationError(
         f"detached-electron energy {energy!r} hartree is too large: "
         "its powers in the background cross section overflow"
     )
+
+
+def _backgrounds(energies: list[float], consts: PhysicalConstants) -> list[float]:
+    """sigma_background's formula at each energy, in order, for energies
+    that are positive and finite.  Its OverflowError and ZeroDivisionError
+    propagate; sigma_background turns them into errors naming the energy.
+    The products run left to right, so their energy-free leading factors
+    are formed once."""
+    b2 = consts.b_norm * consts.b_norm
+    e_b = consts.binding_energy
+    numerator = 16.0 * math.sqrt(2.0) * b2 * math.pi**2
+    denominator = 3.0 * consts.c_light
+    return [
+        numerator * energy**1.5 / (denominator * (e_b + energy) ** 3)
+        for energy in energies
+    ]
 
 
 def angular_factor(theta: float, phi: float, pol: Polarization) -> float:
@@ -214,9 +232,14 @@ def phase_sin(k: float, length: float, shift: float) -> float:
 
     Dekker's split overflows for factors above about 1.3e300, so the
     reduction fails for such a k, length or k*length/(2 pi); that raises
-    ValidationError rather than returning nan.  _waves,
-    sweeps._energy_grid and sweeps.position_sweep inline the first branch;
-    keep them in step.
+    ValidationError rather than returning nan.  Three places inline the
+    first branch, sin(k*length - shift) when k*length < 2**32; keep them
+    in step:
+    - _waves, per orbit;
+    - sweeps.position_sweep, per orbit at every point;
+    - sweeps._energy_grid, once per orbit for the whole grid, from
+      k*length at its largest k, and a column that reaches 2**32 calls
+      phase_sin at every point.
     """
     product = k * length
     if product < _REDUCE_THRESHOLD:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import chain
+from operator import add
 
 from .constants import DEFAULT_CONSTANTS, VERSION, PhysicalConstants
 from .errors import BelowThresholdError, GridError, ValidationError
@@ -25,6 +26,7 @@ from .spectrum import (
     Polarization,
     ReflectionModel,
     _angles,
+    _backgrounds,
     _factors,
     _orbit_sum,
     _paths,
@@ -133,9 +135,19 @@ def _energy_grid(
     orbit_source: str,
     consts: PhysicalConstants,
 ):
-    """What both energy generators share: the catalog, one
-    (E_photon, sigma0, sigma_osc, terms) per grid point with sigma_osc bit
-    for bit sigma_total's, and the provenance."""
+    """What both energy generators share: the catalog, the grid, sigma0 and
+    sigma_osc at each grid point, one column of terms per orbit, and the
+    provenance.  Every value is per-point sigma_total's bit for bit, and a
+    grid that fails raises what the first failing point's sigma_total
+    raises, for the lowest j there.
+
+    The sum runs orbit by orbit: one comprehension per orbit gives its terms
+    at every point, and the columns fold into sigma_osc in catalog order,
+    from [0.0] * steps with one C-level add per point.  That is the same
+    left fold ((0.0 + t_1) + t_2) + ... at each point as _orbit_sum's.  A
+    column inlines phase_sin's first branch when k_max L < 2**32; rounded
+    products are monotone, so then k L < 2**32 at every point.  Any other
+    column calls phase_sin term by term."""
     _validate_grid(start_ev, stop_ev, steps)
     if start_ev <= consts.binding_energy_ev:
         raise BelowThresholdError(
@@ -145,26 +157,6 @@ def _energy_grid(
     validate_beta(wedge, ion, BETA_MIN)
     catalog = orbit_catalog(wedge, ion, orbit_source)
     factors, paths = _factors(_angles(catalog), pol), _paths(catalog, refl)
-    # (f_out, f_ret, L, m Delta) of each orbit.
-    orbits = [(*f, *p) for f, p in zip(factors, paths)]
-    sin = math.sin
-    points = []
-    for e_ph in _linspace(start_ev, stop_ev, steps):
-        energy, k = energy_conversion(e_ph, consts)
-        sigma0 = sigma_background(energy, consts)
-        prefactor = 3.0 * sigma0 / k
-        # _orbit_sum(prefactor, factors, _waves(k, paths)) in one pass.
-        terms = [
-            prefactor * f_out * f_ret
-            * (sin(kl - shift) if (kl := k * length) < _REDUCE_THRESHOLD
-               else phase_sin(k, length, shift))
-            / length
-            for f_out, f_ret, length, shift in orbits
-        ]
-        sigma_osc = 0.0
-        for term in terms:
-            sigma_osc += term
-        points.append((e_ph, sigma0, sigma_osc, terms))
     meta = _base_meta(
         generator, wedge, consts,
         rho_a0=ion.rho, beta_rad=ion.beta,
@@ -172,7 +164,46 @@ def _energy_grid(
         delta_rad=refl.delta, orbit_source=orbit_source,
         E_min_eV=start_ev, E_max_eV=stop_ev, steps=steps,
     )
-    return catalog, points, tuple(meta)
+    grid = _linspace(start_ev, stop_ev, steps)
+    # energy_conversion's arithmetic; every point is at least start_ev, so
+    # above the threshold.  An energy that rounds to 0 or to inf is one
+    # sigma_background rejects; with finite constants none is nan.
+    e_b, per_hartree = consts.binding_energy_ev, consts.ev_per_hartree
+    energies = [(e_ph - e_b) / per_hartree for e_ph in grid]
+    sin, sqrt = math.sin, math.sqrt
+    try:
+        if 0.0 < min(energies) and max(energies) < math.inf:
+            sigma0s = _backgrounds(energies, consts)
+            ks = [sqrt(2.0 * energy) for energy in energies]
+            prefactors = [3.0 * sigma0 / k for sigma0, k in zip(sigma0s, ks)]
+            k_max = max(ks)
+            columns = []
+            for (f_out, f_ret), (length, shift) in zip(factors, paths):
+                if k_max * length < _REDUCE_THRESHOLD:
+                    column = [
+                        prefactor * f_out * f_ret * sin(k * length - shift) / length
+                        for prefactor, k in zip(prefactors, ks)
+                    ]
+                else:
+                    column = [
+                        prefactor * f_out * f_ret * phase_sin(k, length, shift)
+                        / length
+                        for prefactor, k in zip(prefactors, ks)
+                    ]
+                columns.append(column)
+            sigma_osc = [0.0] * steps
+            for column in columns:
+                sigma_osc = list(map(add, sigma_osc, column))
+            return catalog, grid, sigma0s, sigma_osc, columns, tuple(meta)
+    except (OverflowError, ZeroDivisionError, ValidationError):
+        pass
+    # Some point fails.  Go through the grid point by point, as sigma_total
+    # would, so that the first failing point raises, for its lowest j.
+    for e_ph in grid:
+        energy, k = energy_conversion(e_ph, consts)
+        sigma_background(energy, consts)
+        _waves(k, paths)
+    raise AssertionError("an energy grid failed at none of its points")
 
 
 def energy_sweep(
@@ -187,13 +218,13 @@ def energy_sweep(
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> Dataset:
     """Cross section on a uniform photon-energy grid (eV, endpoints included)."""
-    _, points, meta = _energy_grid(
+    _, grid, sigma0s, sigma_osc, _, meta = _energy_grid(
         "energy_sweep", start_ev, stop_ev, steps,
         wedge, ion, pol, refl, orbit_source, consts,
     )
     return Dataset(
         columns=("E_photon_eV", "sigma0_au", "sigma_osc_au", "sigma_au"),
-        rows=tuple((e_ph, s0, osc, s0 + osc) for e_ph, s0, osc, _ in points),
+        rows=tuple(zip(grid, sigma0s, sigma_osc, map(add, sigma0s, sigma_osc))),
         meta=meta,
     )
 
@@ -212,16 +243,15 @@ def orbit_decomposition(
     """Per-orbit oscillatory terms on an energy grid; the total column is the
     running sum of the term columns in catalog order, so it reproduces
     sigma_total's sigma_osc bit for bit."""
-    catalog, points, meta = _energy_grid(
+    catalog, grid, _, sigma_osc, columns, meta = _energy_grid(
         "orbit_decomposition", start_ev, stop_ev, steps,
         wedge, ion, pol, refl, orbit_source, consts,
     )
-    columns = ("E_photon_eV", "sigma_osc_total_au") + tuple(
-        f"term_{orbit.index}_au" for orbit in catalog
-    )
     return Dataset(
-        columns=columns,
-        rows=tuple((e_ph, osc, *terms) for e_ph, _, osc, terms in points),
+        columns=("E_photon_eV", "sigma_osc_total_au") + tuple(
+            f"term_{orbit.index}_au" for orbit in catalog
+        ),
+        rows=tuple(zip(grid, sigma_osc, *columns)),
         meta=meta,
     )
 

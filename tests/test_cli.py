@@ -233,6 +233,33 @@ def test_huge_photon_energy_exit_2(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["spectrum", "decompose"])
+@pytest.mark.parametrize("argv, message", [
+    # The background first overflows at the second point, not at the last.
+    (["--e-min", "1", "--e-max", "1e300", "--steps", "64"],
+     "detached-electron energy 5.833225742167459e+296 hartree is too large: "
+     "its powers in the background cross section overflow"),
+    # A long orbit fails at an earlier point than the j = 1 orbit does.
+    (["--beta", "0.6", "--rho", "1e258", "--e-min", "1", "--e-max", "1e90",
+      "--steps", "64"],
+     "k*L = 4.0153006641158513e+301 (k = 3.4156187557066314e+43, "
+     "L = 1.1755705045849463e+258) is too large to reduce the phase "
+     "sin(k L - m Delta) modulo 2 pi"),
+    # An orbit fails at the second point, the background only further on.
+    (["--rho", "1e299", "--e-min", "1", "--e-max", "1e105", "--steps", "64"],
+     "k*L = inf (k = 1.0801134886823197e+51, L = 8.134732861516005e+298) "
+     "is too large to reduce the phase sin(k L - m Delta) modulo 2 pi"),
+])
+def test_energy_grid_names_its_first_failing_point(command, argv, message,
+                                                   capsys):
+    # The first point in grid order that fails, and its lowest j: what
+    # sigma_total raises there.
+    assert main([command, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error[invalid-input] {message}\n"
+
+
 @pytest.mark.parametrize("command", [
     ["orbits"],
     ["spectrum", "--steps", "64"],
