@@ -170,11 +170,16 @@ def _json_text(dataset) -> str:
 
 
 def _with_cli_meta(dataset, args):
+    """The dataset with the CLI's provenance pairs in front of its own.  The
+    rows are the same, already checked tuple, so the copy skips the checks
+    in ``Dataset.__new__`` (and ``_replace``, which runs them)."""
     extra = [("command", args.command)]
     for name in ("beta", "pol", "delta", "output", "format"):
         if getattr(args, name, None) is not None:
             extra.append((f"cli_{name}", str(getattr(args, name))))
-    return dataset._replace(meta=tuple(extra) + dataset.meta)
+    return tuple.__new__(
+        type(dataset), (dataset.columns, dataset.rows, tuple(extra) + dataset.meta)
+    )
 
 
 def _cmd_orbits(args) -> int:

@@ -188,10 +188,14 @@ def _template(n: int) -> _Template:
     return _Template([abs(i) for i in images], angles[0::2], angles[1::2], even_chords)
 
 
-def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
+def enumerate_analytic(
+    n: int, ion: IonPosition, template: _Template | None = None
+) -> list[ClosedOrbit]:
     """Analytic catalog for a pi/N wedge: 2N-1 orbits in j order, which is
     ascending phi_out except for beta a few ulps below pi/N (see above).
-    It is ``_template(n)`` evaluated at (rho, beta)."""
+    It is ``template``, by default ``_template(n)``, evaluated at
+    (rho, beta); a caller that evaluates one template at several ions
+    passes it in."""
     _validate_n(n)
     # The j = 1 launch (1/N) pi can round below pi/N; beta must stay under
     # it too, or the j = 1 chord is zero.
@@ -200,7 +204,7 @@ def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
         raise BetaRangeError(
             f"beta={ion.beta!r} outside (0, {alpha!r}) for a pi/{n} wedge"
         )
-    template = _template(n)
+    template = template or _template(n)
     return [
         ClosedOrbit(j, phi_out, phi_ret, m, 2.0 * ion.rho * chord)
         for j, (m, (phi_out, phi_ret), chord) in enumerate(

@@ -17,24 +17,22 @@ Energies are in hartree internally; photon energies enter in eV.  Cross
 sections are in bohr^2.
 
 Every orbit sum has the same bits, whichever function evaluates it:
-sigma_total, an energy grid, a polarization map or a position sweep.  The
-terms prefactor * f_out * f_ret * sin(k L - m Delta) / L, in catalog order,
-are added by a left fold from 0.0, ((0.0 + t_1) + t_2) + ..., never with
-sum(), whose float sums are compensated (Neumaier) from CPython 3.12 on and
-would make the bytes depend on the Python version.  sigma_total, the
-position sweeps and the polarization map fold one point at a time with +=;
-an energy grid folds orbit by orbit, adding each orbit's column of terms to
-the running sums of every point at once, which is the same fold at each
-point.  Each phase is phase_sin's: the sums inline its first branch,
-sin(k L - m Delta) as written when k L < 2**32, and call it for the rest.
-An energy grid decides that branch once per orbit, from k L at the grid's
-largest k.
+sigma_total, an energy grid, a position sweep or a polarization map.  One
+kernel writes the term: ``_orbits`` pairs each orbit's (f_out, f_ret, L,
+m Delta), ``_columns`` gives the terms
+prefactor * f_out * f_ret * sin(k L - m Delta) / L of each orbit over all
+points, in catalog order, and ``_fold`` adds them by the left fold
+((0.0 + t_1) + t_2) + ... at each point.  The phases are phase_sin's.
+Only the polarization map, whose cells each fold one point with +=, and a
+beta sweep's even-j orbits, whose phases do not move, form their terms
+outside ``_columns``, from phase_sin's phases in the same order.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import add
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import (
@@ -47,6 +45,7 @@ from .geometry import (
 )
 from .orbits import (
     ClosedOrbit,
+    _Template,
     default_search_config,
     enumerate_analytic,
     find_numeric,
@@ -232,14 +231,9 @@ def phase_sin(k: float, length: float, shift: float) -> float:
 
     Dekker's split overflows for factors above about 1.3e300, so the
     reduction fails for such a k, length or k*length/(2 pi); that raises
-    ValidationError rather than returning nan.  Three places inline the
-    first branch, sin(k*length - shift) when k*length < 2**32; keep them
-    in step:
-    - _waves, per orbit;
-    - sweeps.position_sweep, per orbit at every point;
-    - sweeps._energy_grid, once per orbit for the whole grid, from
-      k*length at its largest k, and a column that reaches 2**32 calls
-      phase_sin at every point.
+    ValidationError rather than returning nan.  _columns inlines the
+    first branch, sin(k*length - shift) when k*length < 2**32, deciding it
+    once per orbit for all its points.
     """
     product = k * length
     if product < _REDUCE_THRESHOLD:
@@ -267,99 +261,87 @@ def orbit_term(
     """Oscillatory contribution of a single closed orbit at momentum k."""
     if not (k > 0.0):
         raise ValidationError(f"k must be positive, got {k!r}")
-    sigma0 = sigma_background(0.5 * k * k, consts)
-    catalog = (orbit,)
-    _, (term,) = _orbit_sum(
-        3.0 * sigma0 / k, _factors(_angles(catalog), pol),
-        _waves(k, _paths(catalog, refl)),
-    )
+    prefactor = 3.0 * sigma_background(0.5 * k * k, consts) / k
+    ((term,),) = _columns(_orbits((orbit,), pol, refl), [prefactor], [k], [1.0])
     return term
 
 
-# The orbit sum takes two halves from each orbit: the polarization factors
-# (f_out, f_ret), which depend on the angles and pol, and the wave
-# (sin(k L - m Delta), L), which depends on k, the length and the walls.
-# A sweep builds once whichever half its grid leaves fixed.
-
-
-def _angles(catalog: tuple[ClosedOrbit, ...]) -> list[tuple[float, float]]:
-    """(phi_out, phi_ret) of each orbit."""
-    return [(orbit.phi_out, orbit.phi_ret) for orbit in catalog]
-
-
-def _factors(
-    angles: list[tuple[float, float]], pol: Polarization
-) -> list[tuple[float, float]]:
-    """(f_out, f_ret) of each (phi_out, phi_ret): angular_factor at
+def _orbits(
+    catalog: tuple[ClosedOrbit, ...], pol: Polarization, refl: ReflectionModel
+) -> list[tuple[float, float, float, float]]:
+    """(f_out, f_ret, L, m Delta) of each orbit.  f is angular_factor at
     theta = pi/2 with cos(pi/2) taken as exactly zero, so z polarization
     yields an identically zero orbit sum."""
-    sin_theta, phi_l = math.sin(pol.theta_L), pol.phi_L
+    sin_theta, phi_l, cos = math.sin(pol.theta_L), pol.phi_L, math.cos
     return [
-        (sin_theta * math.cos(phi_out - phi_l), sin_theta * math.cos(phi_ret - phi_l))
-        for phi_out, phi_ret in angles
+        (sin_theta * cos(orbit.phi_out - phi_l),
+         sin_theta * cos(orbit.phi_ret - phi_l), orbit.length, orbit.m * refl.delta)
+        for orbit in catalog
     ]
 
 
-def _paths(
-    catalog: tuple[ClosedOrbit, ...], refl: ReflectionModel
-) -> list[tuple[float, float]]:
-    """(L, m Delta) of each orbit."""
-    return [(orbit.length, orbit.m * refl.delta) for orbit in catalog]
+def _columns(
+    orbits: list[tuple[float, float, float, float]],
+    prefactors: list[float],
+    ks: list[float],
+    scales: list[float],
+) -> list[list[float]]:
+    """One column of terms per orbit, in catalog order, over the points
+    (prefactor, k, scale): prefactor * f_out * f_ret * sin(k L - m Delta) / L
+    with L = scale * chord, the orbit's third entry.  A fixed length takes
+    scale 1.0, and 1.0 * L is exact.
 
-
-def _waves(k: float, paths: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """(sin(k L - m Delta), L) of each orbit: phase_sin's value, with its
-    first branch, k L < 2**32, inlined."""
-    sin = math.sin
+    The phase is phase_sin's.  A column inlines its first branch when
+    k_max * (s_max * chord) < 2**32; rounded products are monotone, so then
+    k L < 2**32 at every point.  Any other column calls phase_sin term by
+    term.  A length of 0 raises ZeroDivisionError, and one of inf raises
+    phase_sin's ValidationError."""
+    points = list(zip(prefactors, ks, scales))
+    k_max, s_max, sin = max(ks), max(scales), math.sin
     return [
-        (sin(kl - shift) if (kl := k * length) < _REDUCE_THRESHOLD
-         else phase_sin(k, length, shift), length)
-        for length, shift in paths
+        [p * f_out * f_ret * sin(k * (length := s * chord) - shift) / length
+         for p, k, s in points]
+        if k_max * (s_max * chord) < _REDUCE_THRESHOLD else
+        [p * f_out * f_ret * phase_sin(k, length := s * chord, shift) / length
+         for p, k, s in points]
+        for f_out, f_ret, chord, shift in orbits
     ]
 
 
-def _orbit_sum(
-    prefactor: float,
-    factors: list[tuple[float, float]],
-    waves: list[tuple[float, float]],
-) -> tuple[float, list[float]]:
-    """sigma_osc and its per-orbit terms, in catalog order.
-
-    sigma_osc is the left fold ((0.0 + t_1) + t_2) + ... of an explicit
-    running sum.  Never sum(): from CPython 3.12 it compensates float sums
-    (Neumaier), so the last bits, and the output bytes, would depend on the
-    Python version.  (functools.reduce(operator.add, ...) folds the same
-    way, but is slower than this loop's specialised float add on 3.11.)
-    """
-    terms = [
-        prefactor * f_out * f_ret * phase / length
-        for (f_out, f_ret), (phase, length) in zip(factors, waves)
-    ]
-    sigma_osc = 0.0
-    for term in terms:
-        sigma_osc += term
-    return sigma_osc, terms
+def _fold(columns: list[list[float]], width: int) -> list[float]:
+    """The orbit sum at each of width points: the left fold
+    ((0.0 + t_1) + t_2) + ... of the columns, one C-level map(add) per
+    orbit.
+    Never sum(): from CPython 3.12 it compensates float sums (Neumaier), so
+    the last bits, and the output bytes, would depend on the Python
+    version."""
+    sums = [0.0] * width
+    for column in columns:
+        sums = list(map(add, sums, column))
+    return sums
 
 
 def orbit_catalog(
     wedge: WedgeGeometry,
     ion: IonPosition,
     source: str = "analytic",
+    template: _Template | None = None,
 ) -> tuple[ClosedOrbit, ...]:
     """Closed orbits of the ion.  A pi/N wedge gets the image enumeration
     ``enumerate_analytic`` from either source, so 'numeric' equals
-    'analytic' there bit for bit; any other opening angle takes the
-    shooting search, and only from source 'numeric'.  A wedge narrower than
-    the guard band 2 BETA_MIN is refused.  Built afresh on every call;
-    callers that keep the ion fixed build it once, and a position sweep on
-    a pi/N wedge builds it at its first point only."""
+    'analytic' there bit for bit, evaluating ``template`` when given, which
+    must be ``_template(N)``; any other opening angle takes the shooting
+    search, and only from source 'numeric'.  A wedge narrower than the guard
+    band 2 BETA_MIN is refused.  Built afresh on every call; callers that
+    keep the ion fixed build it once, and a position sweep on a pi/N wedge
+    builds it at its first point only."""
     if source not in ORBIT_SOURCES:
         raise ValidationError(
             f"orbit_source must be one of {ORBIT_SOURCES}, got {source!r}"
         )
     guard_band(wedge, BETA_MIN)
     if wedge.n_integer is not None:
-        return tuple(enumerate_analytic(wedge.n_integer, ion))
+        return tuple(enumerate_analytic(wedge.n_integer, ion, template))
     if source == "analytic":
         raise ValidationError(
             "the analytic orbit catalog requires an opening angle pi/N; "
@@ -383,9 +365,8 @@ def sigma_total(
     energy, k = energy_conversion(e_photon_ev, consts)
     sigma0 = sigma_background(energy, consts)
     catalog = orbit_catalog(wedge, ion, orbit_source)
-    sigma_osc, _ = _orbit_sum(
-        3.0 * sigma0 / k, _factors(_angles(catalog), pol),
-        _waves(k, _paths(catalog, refl)),
+    (sigma_osc,) = _fold(
+        _columns(_orbits(catalog, pol, refl), [3.0 * sigma0 / k], [k], [1.0]), 1
     )
     return SpectrumPoint.build(e_photon_ev, energy, k, sigma0, sigma_osc)
 

@@ -22,15 +22,12 @@ from .geometry import BETA_MIN, TWO_PI, IonPosition, WedgeGeometry, validate_bet
 from .orbits import _template
 from .records import Record
 from .spectrum import (
-    _REDUCE_THRESHOLD,
     Polarization,
     ReflectionModel,
-    _angles,
     _backgrounds,
-    _factors,
-    _orbit_sum,
-    _paths,
-    _waves,
+    _columns,
+    _fold,
+    _orbits,
     energy_conversion,
     orbit_catalog,
     phase_sin,
@@ -137,17 +134,10 @@ def _energy_grid(
 ):
     """What both energy generators share: the catalog, the grid, sigma0 and
     sigma_osc at each grid point, one column of terms per orbit, and the
-    provenance.  Every value is per-point sigma_total's bit for bit, and a
-    grid that fails raises what the first failing point's sigma_total
-    raises, for the lowest j there.
-
-    The sum runs orbit by orbit: one comprehension per orbit gives its terms
-    at every point, and the columns fold into sigma_osc in catalog order,
-    from [0.0] * steps with one C-level add per point.  That is the same
-    left fold ((0.0 + t_1) + t_2) + ... at each point as _orbit_sum's.  A
-    column inlines phase_sin's first branch when k_max L < 2**32; rounded
-    products are monotone, so then k L < 2**32 at every point.  Any other
-    column calls phase_sin term by term."""
+    provenance.  The kernel runs once over the whole grid, with scale 1.0
+    at every point, so every value is per-point sigma_total's bit for bit.
+    A grid that fails raises what the first failing point's sigma_total
+    raises, for the lowest j there."""
     _validate_grid(start_ev, stop_ev, steps)
     if start_ev <= consts.binding_energy_ev:
         raise BelowThresholdError(
@@ -156,7 +146,7 @@ def _energy_grid(
         )
     validate_beta(wedge, ion, BETA_MIN)
     catalog = orbit_catalog(wedge, ion, orbit_source)
-    factors, paths = _factors(_angles(catalog), pol), _paths(catalog, refl)
+    orbits = _orbits(catalog, pol, refl)
     meta = _base_meta(
         generator, wedge, consts,
         rho_a0=ion.rho, beta_rad=ion.beta,
@@ -170,30 +160,13 @@ def _energy_grid(
     # sigma_background rejects; with finite constants none is nan.
     e_b, per_hartree = consts.binding_energy_ev, consts.ev_per_hartree
     energies = [(e_ph - e_b) / per_hartree for e_ph in grid]
-    sin, sqrt = math.sin, math.sqrt
     try:
         if 0.0 < min(energies) and max(energies) < math.inf:
             sigma0s = _backgrounds(energies, consts)
-            ks = [sqrt(2.0 * energy) for energy in energies]
+            ks = [math.sqrt(2.0 * energy) for energy in energies]
             prefactors = [3.0 * sigma0 / k for sigma0, k in zip(sigma0s, ks)]
-            k_max = max(ks)
-            columns = []
-            for (f_out, f_ret), (length, shift) in zip(factors, paths):
-                if k_max * length < _REDUCE_THRESHOLD:
-                    column = [
-                        prefactor * f_out * f_ret * sin(k * length - shift) / length
-                        for prefactor, k in zip(prefactors, ks)
-                    ]
-                else:
-                    column = [
-                        prefactor * f_out * f_ret * phase_sin(k, length, shift)
-                        / length
-                        for prefactor, k in zip(prefactors, ks)
-                    ]
-                columns.append(column)
-            sigma_osc = [0.0] * steps
-            for column in columns:
-                sigma_osc = list(map(add, sigma_osc, column))
+            columns = _columns(orbits, prefactors, ks, [1.0] * steps)
+            sigma_osc = _fold(columns, steps)
             return catalog, grid, sigma0s, sigma_osc, columns, tuple(meta)
     except (OverflowError, ZeroDivisionError, ValidationError):
         pass
@@ -201,8 +174,8 @@ def _energy_grid(
     # would, so that the first failing point raises, for its lowest j.
     for e_ph in grid:
         energy, k = energy_conversion(e_ph, consts)
-        sigma_background(energy, consts)
-        _waves(k, paths)
+        sigma0 = sigma_background(energy, consts)
+        _columns(orbits, [3.0 * sigma0 / k], [k], [1.0])
     raise AssertionError("an energy grid failed at none of its points")
 
 
@@ -278,14 +251,14 @@ def position_sweep(
     ``ion``.  Beta sweeps must stay inside the guard band
     [BETA_MIN, alpha - BETA_MIN].
 
-    A pi/N wedge, from either orbit source, builds a catalog at the first
-    point only, and the orbit template once.  From the two it pairs the
-    constants of each orbit once per sweep; every later point is then one
-    pass over them.  A rho point scales every length; a beta point moves
-    the odd-j lengths and turns the even-j polarization factors.  Any other
-    wedge runs the shooting search at every point.  Rows equal per-point
-    ``sigma_total`` bit for bit, and a point that fails raises what its
-    ``sigma_total`` would.
+    A pi/N wedge, from either orbit source, builds the orbit template once
+    and a catalog from it at the first point only.  From the two it pairs
+    the constants of each orbit once per sweep, and the kernel runs over the
+    later points orbit by orbit: a rho point scales every chord by 2 rho, a
+    beta point moves the odd-j chords and turns the even-j polarization
+    factors.  Any other wedge runs the shooting search at every point.  Rows
+    equal per-point ``sigma_total`` bit for bit, and a sweep that fails
+    raises what its first failing point's ``sigma_total`` raises.
     """
     _validate_grid(start, stop, steps)
     if variable not in POSITION_VARIABLES:
@@ -304,91 +277,30 @@ def position_sweep(
     energy, k = energy_conversion(e_photon_ev, consts)
     sigma0 = sigma_background(energy, consts)
     prefactor = 3.0 * sigma0 / k
+    template = _template(wedge.n_integer) if wedge.n_integer else None
 
     def from_catalog(value: float):
+        """The orbits at one point, from its own catalog, and their sum."""
         moved = (IonPosition(value, ion.beta) if variable == "rho"
                  else IonPosition(ion.rho, value))
-        catalog = orbit_catalog(wedge, moved, orbit_source)
-        return _factors(_angles(catalog), pol), _waves(k, _paths(catalog, refl))
+        orbits = _orbits(orbit_catalog(wedge, moved, orbit_source, template),
+                         pol, refl)
+        return orbits, _fold(_columns(orbits, [prefactor], [k], [1.0]), 1)[0]
 
-    def row(value, factors, waves):
-        sigma_osc, _ = _orbit_sum(prefactor, factors, waves)
-        return (value, sigma0, sigma_osc, sigma0 + sigma_osc)
-
-    # The first point comes from its catalog, so it fails as a per-point
-    # catalog would.  A pi/N sweep then pairs the constants of each orbit
-    # once, from the template and that catalog, and takes every later point
-    # as _orbit_sum(prefactor, factors, waves) in one pass: the same terms in
-    # the same order, with phase_sin's first branch inlined as in _waves.
-    # Each moving length is 2 rho times a chord in (0, 1], so the shortest
-    # says whether all stay in (0, inf); the fixed ones passed at the first
-    # point.  A length outside is the catalog's to reject.
     grid = _linspace(start, stop, steps)
-    factors, waves = from_catalog(grid[0])
-    rows = [row(grid[0], factors, waves)]
-    sin, cos = math.sin, math.cos
-    if not wedge.n_integer:
-        rows += [row(value, *from_catalog(value)) for value in grid[1:]]
-    elif variable == "rho":
-        # No angle moves: (f_out, f_ret, chord, m Delta) in j order.
-        template = _template(wedge.n_integer)
-        chords = template.chords(ion.beta)
-        orbits = [(*f, chord, m * refl.delta)
-                  for f, chord, m in zip(factors, chords, template.m)]
-        shortest = min(chords)
-        for value in grid[1:]:
-            scale = 2.0 * value
-            if not 0.0 < scale * shortest < math.inf:
-                rows.append(row(value, *from_catalog(value)))
-                continue
-            terms = [
-                prefactor * f_out * f_ret
-                * (sin(kl - shift)
-                   if (kl := k * (length := scale * chord)) < _REDUCE_THRESHOLD
-                   else phase_sin(k, length, shift))
-                / length
-                for f_out, f_ret, chord, shift in orbits
-            ]
-            sigma_osc = 0.0
-            for term in terms:
-                sigma_osc += term
-            rows.append((value, sigma0, sigma_osc, sigma0 + sigma_osc))
+    orbits, first = from_catalog(grid[0])
+    if template is None:
+        sigma_osc = [first, *(from_catalog(value)[1] for value in grid[1:])]
     else:
-        # Odd j keep their factors and move their chords with beta:
-        # (f_out, f_ret, m Delta).  Even j keep their waves and turn by
-        # beta: (phi_out - beta, phi_ret - beta, sin(k L - m Delta), L),
-        # with the factors _factors(template.even_angles(beta), pol) gives.
-        template = _template(wedge.n_integer)
-        odd = [(*f, m * refl.delta)
-               for f, m in zip(factors[0::2], template.m[0::2])]
-        even = [(*base, *wave)
-                for base, wave in zip(template.even_bases, waves[1::2])]
-        scale = 2.0 * ion.rho
-        sin_theta, phi_l = math.sin(pol.theta_L), pol.phi_L
-        terms = [0.0] * len(waves)
-        for value in grid[1:]:
-            chords = template.odd_chords(value)
-            if not 0.0 < scale * min(chords) < math.inf:
-                rows.append(row(value, *from_catalog(value)))
-                continue
-            terms[0::2] = [
-                prefactor * f_out * f_ret
-                * (sin(kl - shift)
-                   if (kl := k * (length := scale * chord)) < _REDUCE_THRESHOLD
-                   else phase_sin(k, length, shift))
-                / length
-                for (f_out, f_ret, shift), chord in zip(odd, chords)
-            ]
-            terms[1::2] = [
-                prefactor * (sin_theta * cos(out + value - phi_l))
-                * (sin_theta * cos((ret + value) % TWO_PI - phi_l))
-                * phase / length
-                for out, ret, phase, length in even
-            ]
-            sigma_osc = 0.0
-            for term in terms:
-                sigma_osc += term
-            rows.append((value, sigma0, sigma_osc, sigma0 + sigma_osc))
+        try:
+            sigma_osc = [first, *_pi_n_sums(
+                variable, grid[1:], ion, orbits, template, pol, prefactor, k)]
+        except (ZeroDivisionError, ValidationError):
+            # Some point fails: replay point by point from catalogs, so that
+            # the first failing point raises what its sigma_total raises.
+            for value in grid[1:]:
+                from_catalog(value)
+            raise AssertionError("a position sweep failed at none of its points")
     meta = _base_meta(
         "position_sweep", wedge, consts,
         variable=variable,
@@ -399,9 +311,49 @@ def position_sweep(
     )
     return Dataset(
         columns=(column, "sigma0_au", "sigma_osc_au", "sigma_au"),
-        rows=tuple(rows),
+        rows=tuple((value, sigma0, osc, sigma0 + osc)
+                   for value, osc in zip(grid, sigma_osc)),
         meta=tuple(meta),
     )
+
+
+def _pi_n_sums(variable, values, ion, orbits, template, pol, prefactor, k):
+    """sigma_osc at each of the values of a pi/N position sweep, from the
+    orbits of its first point and the template, orbit by orbit.
+
+    A rho point scales every template chord by 2 rho.  At a beta point the
+    odd-j orbits keep their factors and take their chords
+    |sin(phi_out - beta)|, with 2 rho as the scale's partner: the product
+    is commutative, so L is the catalog's 2 rho chord.  The even-j orbits
+    keep their lengths and phases and turn their factors by beta, as
+    ``template.even_angles`` does, in _columns' term order."""
+    width = len(values)
+    prefactors, ks = [prefactor] * width, [k] * width
+    if variable == "rho":
+        orbits = [(f_out, f_ret, chord, shift) for (f_out, f_ret, _, shift), chord
+                  in zip(orbits, template.chords(ion.beta))]
+        return _fold(_columns(orbits, prefactors, ks,
+                              [2.0 * value for value in values]), width)
+    sin, cos = math.sin, math.cos
+    scale = 2.0 * ion.rho
+    columns = [None] * len(orbits)
+    columns[0::2] = [
+        _columns([(f_out, f_ret, scale, shift)], prefactors, ks,
+                 [abs(sin(phi_out - value)) for value in values])[0]
+        for (f_out, f_ret, _, shift), (phi_out, _) in zip(orbits[0::2],
+                                                          template.odd_angles)
+    ]
+    even = [(out, ret, phase_sin(k, length, shift), length)
+            for (out, ret), (_, _, length, shift) in zip(template.even_bases,
+                                                         orbits[1::2])]
+    sin_theta, phi_l = sin(pol.theta_L), pol.phi_L
+    columns[1::2] = [
+        [prefactor * (sin_theta * cos(out + value - phi_l))
+         * (sin_theta * cos((ret + value) % TWO_PI - phi_l)) * phase / length
+         for value in values]
+        for out, ret, phase, length in even
+    ]
+    return _fold(columns, width)
 
 
 def polarization_map(
@@ -421,23 +373,25 @@ def polarization_map(
     energy, k = energy_conversion(e_photon_ev, consts)
     prefactor = 3.0 * sigma_background(energy, consts) / k
     catalog = orbit_catalog(wedge, ion, orbit_source)
-    angles, waves = _angles(catalog), _waves(k, _paths(catalog, refl))
+    waves = [(orbit.phi_out, orbit.phi_ret,
+              phase_sin(k, orbit.length, orbit.m * refl.delta), orbit.length)
+             for orbit in catalog]
     phis = _linspace(0.0, 2.0 * math.pi, phi_steps, endpoint=False)
-    # _factors(angles, Polarization(theta, phi)) in two halves: the cosines
-    # once per phi column, with phi_L reduced as Polarization reduces it,
-    # and sin(theta_L) once per row.
+    # _orbits(catalog, Polarization(theta, phi), refl)'s factors in two
+    # halves: the cosines once per phi column, with phi_L reduced as
+    # Polarization reduces it, and sin(theta_L) once per row.
     columns = []
     for phi in phis:
         phi_l = phi % TWO_PI
         columns.append((phi, [
             (math.cos(phi_out - phi_l), math.cos(phi_ret - phi_l), phase, length)
-            for (phi_out, phi_ret), (phase, length) in zip(angles, waves)
+            for phi_out, phi_ret, phase, length in waves
         ]))
     rows = []
     for theta in _linspace(0.0, math.pi, theta_steps):
         sin_theta = math.sin(theta)
         for phi, column in columns:
-            # _orbit_sum(prefactor, factors, waves)[0] in one pass.
+            # _columns' terms at this cell, folded left from 0.0.
             sigma_osc = 0.0
             for c_out, c_ret, phase, length in column:
                 sigma_osc += (

@@ -491,6 +491,28 @@ def test_sweep_and_polmap_commands_run(tmp_path):
     assert len(payload["rows"]) == 12
 
 
+@pytest.mark.parametrize("command", [c for c in DEFAULTS
+                                     if c not in ("orbits", "verify")])
+def test_each_dataset_command_checks_its_rows_once(command, monkeypatch,
+                                                   tmp_path):
+    """The generator's Dataset checks its rows; adding the CLI's provenance
+    pairs must not check the same rows again."""
+    from wedge_cot import sweeps
+
+    checked = []
+    new = sweeps.Dataset.__new__
+
+    def counted(cls, *args, **kwargs):
+        checked.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps.Dataset, "__new__", counted)
+    out = tmp_path / "out.csv"
+    assert main([command, "-o", str(out)]) == 0
+    assert checked == [sweeps.Dataset]
+    assert out.read_text().splitlines()[1] == f"# command={command}"
+
+
 def test_commands_on_defaults_leave_numpy_unimported():
     code = (
         "import contextlib, io, sys\n"

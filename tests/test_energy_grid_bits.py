@@ -1,20 +1,30 @@
-"""Energy grids against per-point sigma_total, bit for bit.
+"""Orbit sums bit for bit: sigma_total against a reference written
+without the kernel, and the energy grids and position sweeps against
+per-point sigma_total.
 
-The energy generators fold the orbit sum orbit by orbit over the whole
-grid, while sigma_total folds one point at a time; both must give the same
-bits.  This module imports no numpy, so it runs wherever the dataset
-commands do, on every supported Python.
+The generators run the orbit-sum kernel over a whole grid at once, while
+sigma_total runs it at one point; both must give the same bits, and those
+must be the reference's.  This module imports no numpy, so it runs wherever
+the dataset commands do, on every supported Python.
 """
 
 import math
 from datetime import timedelta
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wedge_cot.geometry import BETA_MIN, IonPosition, WedgeGeometry
-from wedge_cot.spectrum import Polarization, ReflectionModel, sigma_total
-from wedge_cot.sweeps import energy_sweep, orbit_decomposition
+from wedge_cot.spectrum import (
+    Polarization,
+    ReflectionModel,
+    energy_conversion,
+    orbit_catalog,
+    phase_sin,
+    sigma_background,
+    sigma_total,
+)
+from wedge_cot.sweeps import energy_sweep, orbit_decomposition, position_sweep
 
 
 def _bits(values):
@@ -83,3 +93,81 @@ def test_energy_grid_rows_are_per_point_sigma_total(wedge_beta, rho_exp, refl,
             running += term
         assert _bits(terms_row[:2] + (running,)) == _bits(
             (p.e_photon_ev, p.sigma_osc, p.sigma_osc))
+
+
+def _reference_osc(e_photon_ev, wedge, ion, pol, refl):
+    """sigma_osc written out from the catalog, orbit by orbit, apart from
+    the kernel: f = sin(theta_L) cos(phi - phi_L), every phase a call of
+    phase_sin, and a += running sum in catalog order."""
+    energy, k = energy_conversion(e_photon_ev)
+    prefactor = 3.0 * sigma_background(energy) / k
+    sin_theta = math.sin(pol.theta_L)
+    osc = 0.0
+    for orbit in orbit_catalog(wedge, ion):
+        f_out = sin_theta * math.cos(orbit.phi_out - pol.phi_L)
+        f_ret = sin_theta * math.cos(orbit.phi_ret - pol.phi_L)
+        phase = phase_sin(k, orbit.length, orbit.m * refl.delta)
+        osc += prefactor * f_out * f_ret * phase / orbit.length
+    return osc
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10))
+@given(wedge_beta=_wedges, rho_exp=st.floats(-3.0, 12.0), refl=_walls,
+       pol=_polarizations, e_photon_ev=st.floats(0.76, 2.0))
+# The ends of the domain: k L = 4.2e-8 for the one orbit at N = 1, and k L
+# from 0.14 to 141 times 2**32 over the 399 orbits at N = 200.
+@example(wedge_beta=(1, _band(1)[0]), rho_exp=-3.0, refl=ReflectionModel.hard(),
+         pol=Polarization.x(), e_photon_ev=0.76)
+@example(wedge_beta=(200, _band(200)[1]), rho_exp=12.0,
+         refl=ReflectionModel(-2.5), pol=Polarization(0.8, 2.1), e_photon_ev=2.0)
+# At rho = 1.8e10 and 1 eV, k L crosses 2**32 inside the catalog.
+@example(wedge_beta=(7, 0.1), rho_exp=math.log10(1.8e10),
+         refl=ReflectionModel.soft(), pol=Polarization.y(), e_photon_ev=1.0)
+def test_sigma_total_is_the_reference_orbit_sum(wedge_beta, rho_exp, refl, pol,
+                                                e_photon_ev):
+    """sigma_total's sigma_osc and sigma equal the reference's bits."""
+    n, beta = wedge_beta
+    wedge, ion = WedgeGeometry.from_n(n), IonPosition(10.0**rho_exp, beta)
+    p = sigma_total(e_photon_ev, wedge, ion, pol, refl)
+    osc = _reference_osc(e_photon_ev, wedge, ion, pol, refl)
+    assert _bits((p.sigma_osc, p.sigma)) == _bits((osc, p.sigma0 + osc))
+
+
+# (N, beta, beta') with both betas anywhere in the guard band.
+_band_betas = st.integers(1, 200).flatmap(lambda n: st.tuples(
+    st.just(n), st.floats(*_band(n)), st.floats(*_band(n))))
+_exponents = st.floats(-3.0, 12.0)
+_edge_args = dict(exps=(2.0, -3.0, 12.0), soft=False, theta=1.0, phi=0.3,
+                  steps=32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_band_betas, exps=st.tuples(_exponents, _exponents, _exponents),
+       soft=st.booleans(), theta=st.floats(0.0, math.pi),
+       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       steps=st.integers(2, 32))
+@example(case=(1, *_band(1)), **_edge_args)      # alpha = pi
+@example(case=(200, *_band(200)), **_edge_args)  # both guard-band edges
+@example(case=(7, *_band(7)), exps=(12.0, -3.0, 12.0), soft=True,  # k L > 2**32
+         theta=0.5 * math.pi, phi=0.0, steps=2)
+def test_position_sweep_rows_are_per_point_sigma_total(case, exps, soft, theta,
+                                                       phi, steps):
+    """The analytic template, evaluated per point, gives every rho and beta
+    row of per-point sigma_total bit for bit, for N = 1..200 and rho from
+    1e-3 to 1e12 bohr."""
+    n, beta_a, beta_b = case
+    rho, *rhos = (10.0**e for e in exps)
+    assume(beta_a != beta_b and rhos[0] != rhos[1])
+    wedge = WedgeGeometry.from_n(n)
+    betas = sorted((beta_a, beta_b))
+    ion = IonPosition(rho, betas[0])
+    pol = Polarization(theta, phi)
+    refl = ReflectionModel.soft() if soft else ReflectionModel.hard()
+    for variable, ends, at in (
+        ("rho", sorted(rhos), lambda v: IonPosition(v, ion.beta)),
+        ("beta", betas, lambda v: IonPosition(ion.rho, v)),
+    ):
+        for row in position_sweep(variable, *ends, steps, 1.0, wedge, ion,
+                                  pol, refl).rows:
+            p = sigma_total(1.0, wedge, at(row[0]), pol, refl)
+            assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)

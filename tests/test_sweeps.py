@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedge_cot.errors import (
@@ -256,50 +256,6 @@ def test_energy_grids_match_sigma_total_past_the_naive_phase(hard):
                     for theta, phi, osc in polarization_map(
                             3, 4, e, wedge, ion, refl).rows:
                         assert osc == point(e, Polarization(theta, phi)).sigma_osc
-
-
-def _band(n):
-    return BETA_MIN, WedgeGeometry.from_n(n).opening_angle - BETA_MIN
-
-
-# (N, beta, beta') with both betas anywhere in the guard band.
-_band_betas = st.integers(1, 200).flatmap(lambda n: st.tuples(
-    st.just(n), st.floats(*_band(n)), st.floats(*_band(n))))
-_exponents = st.floats(-3.0, 12.0)
-_edge_args = dict(exps=(2.0, -3.0, 12.0), soft=False, theta=1.0, phi=0.3,
-                  steps=32)
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=_band_betas, exps=st.tuples(_exponents, _exponents, _exponents),
-       soft=st.booleans(), theta=st.floats(0.0, math.pi),
-       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-       steps=st.integers(2, 32))
-@example(case=(1, *_band(1)), **_edge_args)      # alpha = pi
-@example(case=(200, *_band(200)), **_edge_args)  # both guard-band edges
-@example(case=(7, *_band(7)), exps=(12.0, -3.0, 12.0), soft=True,  # k L > 2**32
-         theta=0.5 * math.pi, phi=0.0, steps=2)
-def test_position_sweep_rows_are_per_point_sigma_total(case, exps, soft, theta,
-                                                       phi, steps):
-    """The analytic template, evaluated per point, gives every rho and beta
-    row of per-point sigma_total bit for bit, for N = 1..200 and rho from
-    1e-3 to 1e12 bohr."""
-    n, beta_a, beta_b = case
-    rho, *rhos = (10.0**e for e in exps)
-    assume(beta_a != beta_b and rhos[0] != rhos[1])
-    wedge = WedgeGeometry.from_n(n)
-    betas = sorted((beta_a, beta_b))
-    ion = IonPosition(rho, betas[0])
-    pol = Polarization(theta, phi)
-    refl = ReflectionModel.soft() if soft else ReflectionModel.hard()
-    for variable, ends, at in (
-        ("rho", sorted(rhos), lambda v: IonPosition(v, ion.beta)),
-        ("beta", betas, lambda v: IonPosition(ion.rho, v)),
-    ):
-        for row in position_sweep(variable, *ends, steps, 1.0, wedge, ion,
-                                  pol, refl).rows:
-            p = sigma_total(1.0, wedge, at(row[0]), pol, refl)
-            assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)
 
 
 def test_decomposition_short_orbit_dominates(wedge5, ion_ref, hard):
