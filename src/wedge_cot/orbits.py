@@ -15,9 +15,11 @@ floats when beta is a few ulps below pi/N: an even-j launch j pi/(2N) + beta
 can then round one ulp above the next odd one.  Its angles are integer
 numerators over 2N, plus beta for even j, so its count needs no Delta = pi
 test.  ``exact_catalog`` keeps them as exact Fractions of pi;
-``enumerate_analytic`` evaluates ``_template(n)``, which rounds each
-p pi/(2N) once and holds everything free of rho and beta, so position sweeps
-re-evaluate only the half that moves.
+``enumerate_analytic`` evaluates at (rho, beta) the constants of
+``_template(n)``, which rounds each p pi/(2N) once and holds everything free
+of rho and beta.  A rho sweep needs no template: its one catalog, at
+rho = 1/2, holds every chord as a length.  A beta sweep turns its even-j
+angles from the template's.
 
 For arbitrary opening angles the catalog is found by shooting: scan launch
 azimuths across the interior fan, record the signed miss distance at each
@@ -142,60 +144,26 @@ def exact_catalog(n: int, beta_over_pi: Fraction) -> list[ExactOrbit]:
     return orbits
 
 
-def _j_order(odd: list, even: list) -> list:
-    """Merge the odd-j and even-j halves into j order: j = 1, 2, 3, ..."""
-    merged = [None] * (len(odd) + len(even))
-    merged[0::2], merged[1::2] = odd, even
-    return merged
-
-
-class _Template(Record, namedtuple("_Template", "m odd_angles even_bases even_chords")):
-    """The rho- and beta-free constants of the pi/N catalog, one half per
-    parity of j.  Odd-j orbits keep their angles and move their chords with
-    beta; even-j orbits keep their chords and shift their angles by beta.
-    Every length is 2 rho times the chord, so rho never enters.
-
-    The fields are m in j order, the odd (phi_out, phi_ret), the even ones
-    less beta and unwrapped, and the even chords.  They are lists on
-    purpose: built once per sweep from generators, tuples kept CPython's
-    tuple free lists growing, and a loop of sweeps grew by megabytes of
-    resident memory.
-    """
-
-    __slots__ = ()
-
-    def odd_chords(self, beta: float) -> list[float]:
-        # sin argument lies in (0, pi): the |.| is a formality.
-        return [abs(math.sin(phi_out - beta)) for phi_out, _ in self.odd_angles]
-
-    def even_angles(self, beta: float) -> list[tuple[float, float]]:
-        return [(out + beta, (ret + beta) % TWO_PI) for out, ret in self.even_bases]
-
-    def chords(self, beta: float) -> list[float]:
-        return _j_order(self.odd_chords(beta), self.even_chords)
-
-    def angles(self, beta: float) -> list[tuple[float, float]]:
-        return _j_order(self.odd_angles, self.even_angles(beta))
-
-
-def _template(n: int) -> _Template:
+def _template(n: int) -> list[tuple]:
+    """The rho- and beta-free constants of the pi/N catalog, in j order:
+    (m, phi_out, phi_ret, chord) with the angles of even-j orbits less beta
+    and the chord of odd-j orbits None.  Odd-j orbits keep their angles and
+    move their chords with beta; even-j orbits keep their chords and shift
+    their angles by beta.  Every length is 2 rho times the chord."""
     two_n = 2 * n  # every angle is a multiple of pi/(2N), plus beta for even j
-    images = _pi_n_images(n)
-    angles = [tuple(p % (2 * two_n) / two_n * math.pi % TWO_PI
-                    for p in _image(i, 1, two_n)) for i in images]
-    # m pi/(2N) gives partners j <-> 2N-j equal length bits.
-    even_chords = [abs(math.sin(abs(i) / two_n * math.pi)) for i in images[1::2]]
-    return _Template([abs(i) for i in images], angles[0::2], angles[1::2], even_chords)
+    return [
+        (abs(i), *(p % (2 * two_n) / two_n * math.pi % TWO_PI
+                   for p in _image(i, 1, two_n)),
+         # m pi/(2N) gives partners j <-> 2N-j equal length bits.
+         None if i % 2 else abs(math.sin(abs(i) / two_n * math.pi)))
+        for i in _pi_n_images(n)
+    ]
 
 
-def enumerate_analytic(
-    n: int, ion: IonPosition, template: _Template | None = None
-) -> list[ClosedOrbit]:
+def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
     """Analytic catalog for a pi/N wedge: 2N-1 orbits in j order, which is
     ascending phi_out except for beta a few ulps below pi/N (see above).
-    It is ``template``, by default ``_template(n)``, evaluated at
-    (rho, beta); a caller that evaluates one template at several ions
-    passes it in."""
+    It is ``_template(n)`` evaluated at (rho, beta)."""
     _validate_n(n)
     # The j = 1 launch (1/N) pi can round below pi/N; beta must stay under
     # it too, or the j = 1 chord is zero.
@@ -204,12 +172,12 @@ def enumerate_analytic(
         raise BetaRangeError(
             f"beta={ion.beta!r} outside (0, {alpha!r}) for a pi/{n} wedge"
         )
-    template = template or _template(n)
+    beta, two_rho = ion.beta, 2.0 * ion.rho
+    # The odd sin argument lies in (0, pi): the |.| is a formality.
     return [
-        ClosedOrbit(j, phi_out, phi_ret, m, 2.0 * ion.rho * chord)
-        for j, (m, (phi_out, phi_ret), chord) in enumerate(
-            zip(template.m, template.angles(ion.beta), template.chords(ion.beta)), 1
-        )
+        ClosedOrbit(j, out, ret, m, two_rho * abs(math.sin(out - beta))) if j % 2
+        else ClosedOrbit(j, out + beta, (ret + beta) % TWO_PI, m, two_rho * chord)
+        for j, (m, out, ret, chord) in enumerate(_template(n), 1)
     ]
 
 

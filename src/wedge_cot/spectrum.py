@@ -19,13 +19,16 @@ sections are in bohr^2.
 Every orbit sum has the same bits, whichever function evaluates it:
 sigma_total, an energy grid, a position sweep or a polarization map.  One
 kernel writes the term: ``_orbits`` pairs each orbit's (f_out, f_ret, L,
-m Delta), ``_columns`` gives the terms
+m Delta), refusing an m Delta that overflows, ``_columns`` gives the terms
 prefactor * f_out * f_ret * sin(k L - m Delta) / L of each orbit over all
-points, in catalog order, and ``_fold`` adds them by the left fold
-((0.0 + t_1) + t_2) + ... at each point.  The phases are phase_sin's.
-Only the polarization map, whose cells each fold one point with +=, and a
-beta sweep's even-j orbits, whose phases do not move, form their terms
-outside ``_columns``, from phase_sin's phases in the same order.
+points, in catalog order, where L is the orbit's length times the point's
+scale, and ``_fold`` adds them by the left fold ((0.0 + t_1) + t_2) + ...
+at each point.  The phases are phase_sin's.  sigma_total and energy grids
+take scale 1.0; a pi/N rho sweep takes the catalog at rho = 1/2, whose
+lengths are the chords, and scale 2 rho.  Only the polarization map, whose
+cells each fold one point with +=, and a beta sweep's even-j orbits, whose
+phases do not move, form their terms outside ``_columns``, from phase_sin's
+phases in the same order.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .geometry import (
 )
 from .orbits import (
     ClosedOrbit,
-    _Template,
     default_search_config,
     enumerate_analytic,
     find_numeric,
@@ -275,9 +277,22 @@ def _orbits(
     sin_theta, phi_l, cos = math.sin(pol.theta_L), pol.phi_L, math.cos
     return [
         (sin_theta * cos(orbit.phi_out - phi_l),
-         sin_theta * cos(orbit.phi_ret - phi_l), orbit.length, orbit.m * refl.delta)
+         sin_theta * cos(orbit.phi_ret - phi_l), orbit.length,
+         _shift(orbit.m, refl.delta))
         for orbit in catalog
     ]
+
+
+def _shift(m: int, delta: float) -> float:
+    """m Delta, the phase an orbit loses at its m reflections; one that
+    overflows would make sin(k L - m Delta) nan, so it is refused."""
+    shift = m * delta
+    if math.isinf(shift):
+        raise ValidationError(
+            f"m*Delta = {shift!r} (m = {m!r}, Delta = {delta!r}) overflows: "
+            "the phase sin(k L - m Delta) is undefined"
+        )
+    return shift
 
 
 def _columns(
@@ -325,23 +340,22 @@ def orbit_catalog(
     wedge: WedgeGeometry,
     ion: IonPosition,
     source: str = "analytic",
-    template: _Template | None = None,
 ) -> tuple[ClosedOrbit, ...]:
     """Closed orbits of the ion.  A pi/N wedge gets the image enumeration
     ``enumerate_analytic`` from either source, so 'numeric' equals
-    'analytic' there bit for bit, evaluating ``template`` when given, which
-    must be ``_template(N)``; any other opening angle takes the shooting
-    search, and only from source 'numeric'.  A wedge narrower than the guard
-    band 2 BETA_MIN is refused.  Built afresh on every call; callers that
-    keep the ion fixed build it once, and a position sweep on a pi/N wedge
-    builds it at its first point only."""
+    'analytic' there bit for bit; any other opening angle takes the
+    shooting search, and only from source 'numeric'.  A wedge narrower than
+    the guard band 2 BETA_MIN is refused.  Built afresh on every call;
+    callers that keep the ion fixed build it once, and a position sweep on a
+    pi/N wedge builds one per sweep: at rho = 1/2 for a rho sweep, at its
+    first beta for a beta sweep."""
     if source not in ORBIT_SOURCES:
         raise ValidationError(
             f"orbit_source must be one of {ORBIT_SOURCES}, got {source!r}"
         )
     guard_band(wedge, BETA_MIN)
     if wedge.n_integer is not None:
-        return tuple(enumerate_analytic(wedge.n_integer, ion, template))
+        return tuple(enumerate_analytic(wedge.n_integer, ion))
     if source == "analytic":
         raise ValidationError(
             "the analytic orbit catalog requires an opening angle pi/N; "
@@ -358,10 +372,9 @@ def sigma_total(
     refl: ReflectionModel,
     orbit_source: str = "analytic",
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
-    beta_min: float = BETA_MIN,
 ) -> SpectrumPoint:
     """Total cross section: background plus the sum over closed orbits."""
-    validate_beta(wedge, ion, beta_min)
+    validate_beta(wedge, ion, BETA_MIN)
     energy, k = energy_conversion(e_photon_ev, consts)
     sigma0 = sigma_background(energy, consts)
     catalog = orbit_catalog(wedge, ion, orbit_source)

@@ -28,6 +28,7 @@ from .spectrum import (
     _columns,
     _fold,
     _orbits,
+    _shift,
     energy_conversion,
     orbit_catalog,
     phase_sin,
@@ -136,8 +137,12 @@ def _energy_grid(
     sigma_osc at each grid point, one column of terms per orbit, and the
     provenance.  The kernel runs once over the whole grid, with scale 1.0
     at every point, so every value is per-point sigma_total's bit for bit.
-    A grid that fails raises what the first failing point's sigma_total
-    raises, for the lowest j there."""
+    A grid in which the background or the kernel raises at some point
+    raises what sigma_total raises at the first such point, for its lowest
+    j.  A sum that comes out nan or inf raises nothing here: the Dataset
+    names its first row ("sigma_osc_au is nan in row 0 (...)"), with the
+    same class as sigma_total's "sigma_osc is nan (...)", and a point that
+    raises further on is named instead."""
     _validate_grid(start_ev, stop_ev, steps)
     if start_ev <= consts.binding_energy_ev:
         raise BelowThresholdError(
@@ -251,14 +256,18 @@ def position_sweep(
     ``ion``.  Beta sweeps must stay inside the guard band
     [BETA_MIN, alpha - BETA_MIN].
 
-    A pi/N wedge, from either orbit source, builds the orbit template once
-    and a catalog from it at the first point only.  From the two it pairs
-    the constants of each orbit once per sweep, and the kernel runs over the
-    later points orbit by orbit: a rho point scales every chord by 2 rho, a
-    beta point moves the odd-j chords and turns the even-j polarization
-    factors.  Any other wedge runs the shooting search at every point.  Rows
-    equal per-point ``sigma_total`` bit for bit, and a sweep that fails
-    raises what its first failing point's ``sigma_total`` raises.
+    A pi/N wedge, from either orbit source, builds one catalog per sweep,
+    and ``_pi_n_sums`` runs the kernel over every point orbit by orbit: a
+    rho sweep scales the lengths of its catalog at rho = 1/2, which are the
+    chords, by 2 rho; a beta sweep moves the odd-j chords and turns the
+    even-j polarization factors of its catalog at the first beta.  A beta
+    sweep never reads ``ion.beta``.  Any other wedge runs the shooting
+    search at every point.  Rows equal per-point ``sigma_total`` bit for
+    bit.  A sweep in which a catalog or the kernel raises at some point
+    replays its points from their own catalogs and raises what sigma_total
+    raises at the first such point.  A sum that comes out nan or inf
+    raises nothing here: the Dataset names its first row, as in
+    ``_energy_grid``.
     """
     _validate_grid(start, stop, steps)
     if variable not in POSITION_VARIABLES:
@@ -277,29 +286,30 @@ def position_sweep(
     energy, k = energy_conversion(e_photon_ev, consts)
     sigma0 = sigma_background(energy, consts)
     prefactor = 3.0 * sigma0 / k
-    template = _template(wedge.n_integer) if wedge.n_integer else None
 
-    def from_catalog(value: float):
-        """The orbits at one point, from its own catalog, and their sum."""
+    def catalog_at(value: float) -> tuple:
+        """The catalog with the swept coordinate at value."""
         moved = (IonPosition(value, ion.beta) if variable == "rho"
                  else IonPosition(ion.rho, value))
-        orbits = _orbits(orbit_catalog(wedge, moved, orbit_source, template),
-                         pol, refl)
-        return orbits, _fold(_columns(orbits, [prefactor], [k], [1.0]), 1)[0]
+        return orbit_catalog(wedge, moved, orbit_source)
+
+    def sigma_osc_at(value: float) -> float:
+        """sigma_osc at one point from its own catalog, as sigma_total."""
+        orbits = _orbits(catalog_at(value), pol, refl)
+        return _fold(_columns(orbits, [prefactor], [k], [1.0]), 1)[0]
 
     grid = _linspace(start, stop, steps)
-    orbits, first = from_catalog(grid[0])
-    if template is None:
-        sigma_osc = [first, *(from_catalog(value)[1] for value in grid[1:])]
+    if wedge.n_integer is None:
+        sigma_osc = [sigma_osc_at(value) for value in grid]
     else:
         try:
-            sigma_osc = [first, *_pi_n_sums(
-                variable, grid[1:], ion, orbits, template, pol, prefactor, k)]
+            sigma_osc = _pi_n_sums(variable, grid, catalog_at, ion.rho, pol,
+                                   refl, prefactor, k)
         except (ZeroDivisionError, ValidationError):
             # Some point fails: replay point by point from catalogs, so that
             # the first failing point raises what its sigma_total raises.
-            for value in grid[1:]:
-                from_catalog(value)
+            for value in grid:
+                sigma_osc_at(value)
             raise AssertionError("a position sweep failed at none of its points")
     meta = _base_meta(
         "position_sweep", wedge, consts,
@@ -317,35 +327,37 @@ def position_sweep(
     )
 
 
-def _pi_n_sums(variable, values, ion, orbits, template, pol, prefactor, k):
-    """sigma_osc at each of the values of a pi/N position sweep, from the
-    orbits of its first point and the template, orbit by orbit.
+def _pi_n_sums(variable, values, catalog_at, rho, pol, refl, prefactor, k):
+    """sigma_osc at every value of a pi/N position sweep, from one catalog,
+    orbit by orbit.
 
-    A rho point scales every template chord by 2 rho.  At a beta point the
-    odd-j orbits keep their factors and take their chords
-    |sin(phi_out - beta)|, with 2 rho as the scale's partner: the product
-    is commutative, so L is the catalog's 2 rho chord.  The even-j orbits
-    keep their lengths and phases and turn their factors by beta, as
-    ``template.even_angles`` does, in _columns' term order."""
+    A rho sweep takes the catalog at rho = 1/2, where every length is its
+    chord bit for bit (2.0 * 0.5 is 1.0), and scales it by 2 rho.  A beta
+    sweep takes the catalog at its first beta.  Its odd-j orbits keep their
+    factors and take their chords |sin(phi_out - beta)|, with 2 rho as the
+    scale's partner: the product is commutative, so L is the catalog's
+    2 rho chord.  Its even-j orbits keep their lengths and phases and turn
+    their factors by beta from the angles less beta of ``_template(N)``, as
+    ``enumerate_analytic`` does, in _columns' term order."""
     width = len(values)
     prefactors, ks = [prefactor] * width, [k] * width
     if variable == "rho":
-        orbits = [(f_out, f_ret, chord, shift) for (f_out, f_ret, _, shift), chord
-                  in zip(orbits, template.chords(ion.beta))]
-        return _fold(_columns(orbits, prefactors, ks,
-                              [2.0 * value for value in values]), width)
+        return _fold(_columns(_orbits(catalog_at(0.5), pol, refl), prefactors,
+                              ks, [2.0 * value for value in values]), width)
+    catalog = catalog_at(values[0])
+    orbits = _orbits(catalog, pol, refl)
     sin, cos = math.sin, math.cos
-    scale = 2.0 * ion.rho
+    scale = 2.0 * rho
     columns = [None] * len(orbits)
     columns[0::2] = [
         _columns([(f_out, f_ret, scale, shift)], prefactors, ks,
-                 [abs(sin(phi_out - value)) for value in values])[0]
-        for (f_out, f_ret, _, shift), (phi_out, _) in zip(orbits[0::2],
-                                                          template.odd_angles)
+                 [abs(sin(orbit.phi_out - value)) for value in values])[0]
+        for (f_out, f_ret, _, shift), orbit in zip(orbits[0::2], catalog[0::2])
     ]
+    n = (len(catalog) + 1) // 2  # the catalog holds 2N - 1 orbits
     even = [(out, ret, phase_sin(k, length, shift), length)
-            for (out, ret), (_, _, length, shift) in zip(template.even_bases,
-                                                         orbits[1::2])]
+            for (_, out, ret, _), (_, _, length, shift)
+            in zip(_template(n)[1::2], orbits[1::2])]
     sin_theta, phi_l = sin(pol.theta_L), pol.phi_L
     columns[1::2] = [
         [prefactor * (sin_theta * cos(out + value - phi_l))
@@ -374,7 +386,7 @@ def polarization_map(
     prefactor = 3.0 * sigma_background(energy, consts) / k
     catalog = orbit_catalog(wedge, ion, orbit_source)
     waves = [(orbit.phi_out, orbit.phi_ret,
-              phase_sin(k, orbit.length, orbit.m * refl.delta), orbit.length)
+              phase_sin(k, orbit.length, _shift(orbit.m, refl.delta)), orbit.length)
              for orbit in catalog]
     phis = _linspace(0.0, 2.0 * math.pi, phi_steps, endpoint=False)
     # _orbits(catalog, Polarization(theta, phi), refl)'s factors in two

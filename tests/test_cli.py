@@ -214,6 +214,18 @@ def test_extreme_lengths_exit_2_and_say_why(argv, message, capsys):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize("command", ["spectrum", "decompose", "sweep-rho",
+                                     "sweep-beta", "polmap"])
+def test_overflowing_phase_loss_exit_2(command, capsys):
+    # m Delta = 2e308 is inf, and sin(k L - inf) used to end in a
+    # ValueError traceback.
+    assert main([command, "--delta", "1e308"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error[invalid-input] m*Delta = inf (m = 2, Delta = 1e+308) "
+                   "overflows: the phase sin(k L - m Delta) is undefined\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--e-min", "1", "--e-max", "1e300"],
     ["sweep-rho", "--e-photon", "1e200"],

@@ -171,3 +171,28 @@ def test_position_sweep_rows_are_per_point_sigma_total(case, exps, soft, theta,
                                   pol, refl).rows:
             p = sigma_total(1.0, wedge, at(row[0]), pol, refl)
             assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=10))
+@given(case=_band_betas, rho_exp=_exponents, refl=_walls, pol=_polarizations,
+       source=st.sampled_from(["analytic", "numeric"]), below=st.booleans(),
+       offset=st.floats(1e-12, 10.0), steps=st.integers(2, 32))
+@example(case=(200, *_band(200)), rho_exp=12.0, refl=ReflectionModel.soft(),
+         pol=Polarization.x(), source="analytic", below=True, offset=1e-12,
+         steps=2)
+def test_beta_sweep_does_not_read_ion_beta(case, rho_exp, refl, pol, source,
+                                           below, offset, steps):
+    """The rows of a beta sweep are the same bits for two ions that differ
+    only in beta, one of them outside the guard band: the swept beta stands
+    in for the ion's at every point, the first one included."""
+    n, beta_a, beta_b = case
+    assume(beta_a != beta_b)
+    wedge, (lo, hi) = WedgeGeometry.from_n(n), _band(n)
+    rho = 10.0**rho_exp
+    outside = lo - offset if below else hi + offset
+    rows = [
+        position_sweep("beta", *sorted((beta_a, beta_b)), steps, 1.0, wedge,
+                       IonPosition(rho, beta), pol, refl, source).rows
+        for beta in (beta_a, outside)
+    ]
+    assert [_bits(row) for row in rows[0]] == [_bits(row) for row in rows[1]]
