@@ -44,12 +44,6 @@ class ZeroLengthOrbitError(ValidationError):
     code = "zero-length-orbit"
 
 
-class ClosedFormDeltaError(ValidationError):
-    """Closed forms are only valid for a hard wall (reflection phase pi)."""
-
-    code = "closed-form-requires-hard-wall"
-
-
 class GridError(ValidationError):
     code = "invalid-grid"
 

@@ -9,7 +9,7 @@ where f_* projects the laser polarization onto the outgoing and returning
 momentum directions and Delta is the phase lost per wall reflection (pi for
 hard walls).  At a fixed energy this is sin^2(theta_L) e^T S e for one 2x2
 tensor S = sum_j c_j u_out,j u_ret,j^T, with e = (cos phi_L, sin phi_L) and
-c_j = (3 sigma0 / k) sin(k L_j - m_j Delta) / L_j.  For hard walls the x and
+c_j = (3 sigma0 / k) sin(k L_j - m_j Delta) / L_j.  For any Delta the x and
 y cross sections, the diagonal S_xx and S_yy, have closed forms evaluated
 here independently of the orbit catalog; z polarization leaves no imprint.
 
@@ -19,7 +19,7 @@ sections are in bohr^2.
 Every orbit sum has the same bits, whichever function evaluates it:
 sigma_total, an energy grid, a position sweep or a polarization map.  One
 kernel writes the term: ``_orbits`` pairs each orbit's (f_out, f_ret, L,
-m Delta), refusing an m Delta that overflows, ``_columns`` gives the terms
+m Delta), with m Delta from ``_shift``, ``_columns`` gives the terms
 prefactor * f_out * f_ret * sin(k L - m Delta) / L of each orbit over all
 points, in catalog order, where L is the orbit's length times the point's
 scale, and ``_fold`` adds them by the left fold ((0.0 + t_1) + t_2) + ...
@@ -38,11 +38,7 @@ from collections import namedtuple
 from operator import add
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .errors import (
-    BelowThresholdError,
-    ClosedFormDeltaError,
-    ValidationError,
-)
+from .errors import BelowThresholdError, ValidationError
 from .geometry import (
     BETA_MIN, TWO_PI, IonPosition, WedgeGeometry, guard_band, validate_beta,
 )
@@ -108,10 +104,6 @@ class ReflectionModel(Record, namedtuple("ReflectionModel", "delta")):
     @classmethod
     def soft(cls) -> "ReflectionModel":
         return cls(0.5 * math.pi)
-
-    @property
-    def is_hard(self) -> bool:
-        return self.delta == math.pi
 
 
 class SpectrumPoint(Record, namedtuple(
@@ -277,22 +269,32 @@ def _orbits(
     sin_theta, phi_l, cos = math.sin(pol.theta_L), pol.phi_L, math.cos
     return [
         (sin_theta * cos(orbit.phi_out - phi_l),
-         sin_theta * cos(orbit.phi_ret - phi_l), orbit.length,
-         _shift(orbit.m, refl.delta))
-        for orbit in catalog
+         sin_theta * cos(orbit.phi_ret - phi_l), orbit.length, shift)
+        for orbit, shift in zip(catalog, _shifts(catalog, refl.delta))
     ]
 
 
 def _shift(m: int, delta: float) -> float:
-    """m Delta, the phase an orbit loses at its m reflections; one that
-    overflows would make sin(k L - m Delta) nan, so it is refused."""
+    """m Delta, the phase an orbit loses at its m reflections.  One that
+    overflows would make sin(k L - m Delta) nan; one of 2**32 or more would
+    swamp k L, since phase_sin reduces k L modulo 2 pi but not m Delta (at
+    1e17 its ulp is 16 rad).  Both are refused."""
     shift = m * delta
-    if math.isinf(shift):
-        raise ValidationError(
-            f"m*Delta = {shift!r} (m = {m!r}, Delta = {delta!r}) overflows: "
-            "the phase sin(k L - m Delta) is undefined"
-        )
+    if not abs(shift) < _REDUCE_THRESHOLD:
+        why = ("overflows: the phase sin(k L - m Delta) is undefined"
+               if math.isinf(shift) else
+               "is too large: the phase sin(k L - m Delta) needs |m Delta| < 2**32")
+        raise ValidationError(f"m*Delta = {shift!r} (m = {m!r}, Delta = {delta!r}) {why}")
     return shift
+
+
+def _shifts(catalog: tuple[ClosedOrbit, ...], delta: float) -> list[float]:
+    """_shift of each orbit, in catalog order, except that an m Delta that
+    overflows is refused first, wherever it stands in the catalog."""
+    for orbit in catalog:
+        if math.isinf(orbit.m * delta):
+            _shift(orbit.m, delta)  # raises the overflow
+    return [_shift(orbit.m, delta) for orbit in catalog]
 
 
 def _columns(
@@ -392,39 +394,41 @@ def _closed_form(
     refl: ReflectionModel | None,
     axis: int,
 ) -> SpectrumPoint:
-    """Hard-wall cross section with sigma_osc = 3 sigma0 S_aa, a = x for
-    axis 0 and y for axis 1, where (S_xx, S_yy) / (3 sigma0) comes from the
-    closed-form chords alone, never from the catalog.
+    """Cross section with sigma_osc = 3 sigma0 S_aa (a = x for axis 0, y for
+    axis 1) from the closed-form chords and bounce counts alone, never from
+    the catalog; refl None means hard walls.
 
-    Odd-j orbits leave along i pi/N (i = 1..N) with chord sin(i pi/N - beta);
-    even-j ones leave along i pi/N + beta (i = 1..N-1) with chord sin(i pi/N).
-    The loop takes i = N at i = 0, the same axis, with chord sin(beta).  With
-    L = 2 rho chord, c_j / (3 sigma0) = (-1)^m sin(k L) / (k L), and the
-    factors below are u_out u_ret^T times (-1)^m.
+    Odd-j orbits leave along i pi/N (i = 1..N) with chord sin(i pi/N - beta)
+    and m = min(2i - 1, 2(N - i) + 1); they retrace, u_ret = -u_out.  The
+    loop takes i = N at i = 0, the same axis, with chord sin(beta) and
+    m = 1.  Even-j orbits leave along i pi/N + beta (i = 1..N-1) and return
+    along beta - i pi/N, with chord sin(i pi/N) and m = 2 min(i, N - i).
+    With L = 2 rho chord, c_j / (3 sigma0) = sin(k L - m Delta) / (k L),
+    and the factors below are u_out u_ret^T.
     """
-    if refl is not None and not refl.is_hard:
-        raise ClosedFormDeltaError(
-            "the closed-form cross sections assume hard walls "
-            f"(delta = pi); got delta = {refl.delta!r}"
-        )
+    delta = math.pi if refl is None else refl.delta
     validate_beta(WedgeGeometry.from_n(n), ion, BETA_MIN)
     energy, k = energy_conversion(e_photon_ev, consts)
     sigma0 = sigma_background(energy, consts)
     two_k_rho = 2.0 * k * ion.rho
     beta = ion.beta
+
+    def wave(chord: float, m: int) -> float:
+        return phase_sin(two_k_rho, chord, _shift(m, delta)) / (two_k_rho * chord)
+
     s_xx = s_yy = 0.0
     for i in range(n):
         angle = i * math.pi / n
-        chord = math.sin(angle - beta) if i else math.sin(beta)
-        wave = phase_sin(two_k_rho, chord, 0.0) / (two_k_rho * chord)
-        s_xx += math.cos(angle) ** 2 * wave
-        s_yy += math.sin(angle) ** 2 * wave
+        odd = (wave(math.sin(angle - beta), min(2 * i - 1, 2 * (n - i) + 1))
+               if i else wave(math.sin(beta), 1))
+        s_xx -= math.cos(angle) ** 2 * odd
+        s_yy -= math.sin(angle) ** 2 * odd
         if i:
             # sin(i pi/n) evaluated on the folded argument, as in the catalog.
-            chord = math.sin(min(i, n - i) * math.pi / n)
-            wave = phase_sin(two_k_rho, chord, 0.0) / (two_k_rho * chord)
-            s_xx += math.cos(angle + beta) * math.cos(angle - beta) * wave
-            s_yy -= math.sin(angle + beta) * math.sin(angle - beta) * wave
+            fold = min(i, n - i)
+            even = wave(math.sin(fold * math.pi / n), 2 * fold)
+            s_xx += math.cos(angle + beta) * math.cos(angle - beta) * even
+            s_yy -= math.sin(angle + beta) * math.sin(angle - beta) * even
     osc = 3.0 * sigma0 * (s_xx, s_yy)[axis]
     return SpectrumPoint.build(e_photon_ev, energy, k, sigma0, osc)
 
@@ -436,8 +440,8 @@ def sigma_x_closed_form(
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
     refl: ReflectionModel | None = None,
 ) -> SpectrumPoint:
-    """Hard-wall cross section for x polarization in a pi/N wedge, written
-    without reference to the orbit catalog."""
+    """Cross section for x polarization in a pi/N wedge, written without
+    reference to the orbit catalog; hard walls unless refl says otherwise."""
     return _closed_form(e_photon_ev, n, ion, consts, refl, 0)
 
 
@@ -448,7 +452,7 @@ def sigma_y_closed_form(
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
     refl: ReflectionModel | None = None,
 ) -> SpectrumPoint:
-    """Hard-wall cross section for y polarization in a pi/N wedge."""
+    """Cross section for y polarization in a pi/N wedge, as the x one."""
     return _closed_form(e_photon_ev, n, ion, consts, refl, 1)
 
 

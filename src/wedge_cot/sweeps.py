@@ -28,7 +28,7 @@ from .spectrum import (
     _columns,
     _fold,
     _orbits,
-    _shift,
+    _shifts,
     energy_conversion,
     orbit_catalog,
     phase_sin,
@@ -386,8 +386,8 @@ def polarization_map(
     prefactor = 3.0 * sigma_background(energy, consts) / k
     catalog = orbit_catalog(wedge, ion, orbit_source)
     waves = [(orbit.phi_out, orbit.phi_ret,
-              phase_sin(k, orbit.length, _shift(orbit.m, refl.delta)), orbit.length)
-             for orbit in catalog]
+              phase_sin(k, orbit.length, shift), orbit.length)
+             for orbit, shift in zip(catalog, _shifts(catalog, refl.delta))]
     phis = _linspace(0.0, 2.0 * math.pi, phi_steps, endpoint=False)
     # _orbits(catalog, Polarization(theta, phi), refl)'s factors in two
     # halves: the cosines once per phi column, with phi_L reduced as

@@ -226,6 +226,19 @@ def test_overflowing_phase_loss_exit_2(command, capsys):
                    "overflows: the phase sin(k L - m Delta) is undefined\n")
 
 
+@pytest.mark.parametrize("command", ["spectrum", "decompose", "sweep-rho",
+                                     "sweep-beta", "polmap"])
+def test_phase_loss_that_swamps_k_l_exit_2(command, capsys):
+    # m Delta swamps k L: at 1e17 its ulp is 16 rad, and the interference
+    # used to vanish from the output without a word.
+    assert main([command, "--delta", "1e17"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error[invalid-input] m*Delta = 1e+17 (m = 1, Delta = 1e+17) "
+                   "is too large: the phase sin(k L - m Delta) needs "
+                   "|m Delta| < 2**32\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--e-min", "1", "--e-max", "1e300"],
     ["sweep-rho", "--e-photon", "1e200"],

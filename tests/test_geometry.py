@@ -294,3 +294,25 @@ def test_unit_norm_survives_many_bounces():
     path = trace(wedge, start, (math.cos(1.9), math.sin(1.9)),
                  max_reflections=21)
     assert abs(math.hypot(*path.final_direction) - 1.0) <= 1e-14
+
+
+# ------------------------------------------------------------ input checks
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WedgeGeometry.from_n(0), "n must be a positive integer"),
+    (lambda: WedgeGeometry(math.pi / 3, 0),
+     "n_integer must be a positive integer"),
+    (lambda: reflect((1.0, 0.0), "top", TABLE_WEDGE),
+     "surface must be 'left' or 'right', got 'top'"),
+    (lambda: trace(TABLE_WEDGE, ion_cartesian(TABLE_WEDGE, TABLE_ION),
+                   (1.0, 0.0), max_reflections=-1),
+     "max_reflections must be >= 0"),
+    (lambda: trace(TABLE_WEDGE, ion_cartesian(TABLE_WEDGE, TABLE_ION),
+                   (0.0, 0.0), max_reflections=1),
+     "direction must be nonzero"),
+])
+def test_input_checks_raise_their_error(call, message):
+    with pytest.raises(ValidationError) as raised:
+        call()
+    assert type(raised.value) is ValidationError
+    assert str(raised.value) == message

@@ -324,3 +324,27 @@ def test_find_peaks_matches_scipy():
 
     floats()
     ties()
+
+
+# ------------------------------------------------------------ input checks
+
+_K_GRID = np.linspace(0.5, 2.1, 1024)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: closed_form_overlap(1.0, Polarization.x(), (1.0, 0.0)),
+     ValidationError, "direction must be a 3-vector"),
+    (lambda: closed_form_overlap(1.0, Polarization.x(), (0.0, 0.0, 0.0)),
+     ValidationError, "direction must be a nonzero finite 3-vector"),
+    (lambda: action_spectrum(np.column_stack(
+        [_K_GRID + 1e-6 * (np.arange(1024) % 2), np.sin(40.0 * _K_GRID)])),
+     GridError, "k grid must be uniform and ascending"),
+    (lambda: action_spectrum(np.column_stack(
+        [_K_GRID, np.where(np.arange(1024) == 7, np.nan, 0.0)])),
+     GridError, "sigma_osc samples must be finite"),
+])
+def test_input_checks_raise_their_error(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message

@@ -4,6 +4,7 @@ Reference numbers marked "frozen" were computed once with 60-digit mpmath
 and pasted here as decimals; the library must reproduce them in doubles.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from wedge_cot.constants import DEFAULT_CONSTANTS, PhysicalConstants
 from wedge_cot.errors import (
     BelowThresholdError,
-    ClosedFormDeltaError,
     ValidationError,
     ZeroLengthOrbitError,
 )
@@ -26,6 +26,7 @@ from wedge_cot.spectrum import (
     SpectrumPoint,
     angular_factor,
     energy_conversion,
+    orbit_catalog,
     orbit_term,
     phase_sin,
     sigma_background,
@@ -298,7 +299,8 @@ def test_sigma_total_enforces_beta_guard(wedge5, hard):
 # ------------------------------------------------------------ closed forms
 
 def test_closed_forms_match_orbit_sum(wedge5, ion_ref, hard):
-    """The expanded hard-wall formulas reproduce the orbit-sum evaluation.
+    """The expanded formulas reproduce the orbit-sum evaluation, for hard
+    walls, soft walls and any other phase loss.
 
     Tolerance is relative to max(|sigma|, sigma0): near the zeros of sigma
     a plain relative comparison is unsatisfiable in doubles.
@@ -319,17 +321,18 @@ def test_closed_forms_match_orbit_sum(wedge5, ion_ref, hard):
             (n, IonPosition(300.0, BETA_MIN)),
             (n, IonPosition(300.0, alpha - BETA_MIN)),
         ]
-    for n, ion in cases:
+    walls = (None, ReflectionModel.soft(), ReflectionModel(2.5))
+    for (n, ion), refl in itertools.product(cases, walls):
         wedge = WedgeGeometry.from_n(n)
         for e in np.linspace(0.79, 1.38, 10):
             e = float(e)
-            via_orbits_x = sigma_total(e, wedge, ion, Polarization.x(), hard)
-            closed_x = sigma_x_closed_form(e, n, ion)
+            via_orbits_x = sigma_total(e, wedge, ion, Polarization.x(), refl or hard)
+            closed_x = sigma_x_closed_form(e, n, ion, refl=refl)
             scale = max(abs(via_orbits_x.sigma), via_orbits_x.sigma0)
             np.testing.assert_allclose(closed_x.sigma, via_orbits_x.sigma,
                                        rtol=0, atol=1e-12 * scale)
-            via_orbits_y = sigma_total(e, wedge, ion, Polarization.y(), hard)
-            closed_y = sigma_y_closed_form(e, n, ion)
+            via_orbits_y = sigma_total(e, wedge, ion, Polarization.y(), refl or hard)
+            closed_y = sigma_y_closed_form(e, n, ion, refl=refl)
             np.testing.assert_allclose(closed_y.sigma, via_orbits_y.sigma,
                                        rtol=0, atol=1e-12 * scale)
 
@@ -359,12 +362,11 @@ def test_z_closed_form_is_background_only(wedge5, ion_ref, hard):
     assert abs(point.sigma_osc - via_orbits.sigma_osc) <= 1e-15
 
 
-def test_closed_forms_reject_soft_walls():
-    ion = IonPosition(200.0, math.pi / 15)
-    with pytest.raises(ClosedFormDeltaError):
-        sigma_x_closed_form(1.0, 5, ion, refl=ReflectionModel.soft())
-    with pytest.raises(ClosedFormDeltaError):
-        sigma_y_closed_form(1.0, 5, ion, refl=ReflectionModel(2.5))
+@pytest.mark.parametrize("closed", [sigma_x_closed_form, sigma_y_closed_form])
+def test_closed_forms_refuse_a_phase_loss_that_swamps_k_l(closed, ion_ref):
+    with pytest.raises(ValidationError, match=(
+            r"^m\*Delta = 1e\+17 \(m = 1, Delta = 1e\+17\) is too large: ")):
+        closed(1.0, 5, ion_ref, refl=ReflectionModel(1e17))
 
 
 def test_amplitude_envelope_decays_with_rho(wedge5, hard):
@@ -383,3 +385,20 @@ def test_amplitude_envelope_decays_with_rho(wedge5, hard):
                                                                   math.pi / 15))
     )
     assert bound_large < envelope_small
+
+
+# ------------------------------------------------------------ input checks
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Polarization(1.0, math.inf), ValidationError,
+     "phi_L must be finite"),
+    (lambda: orbit_catalog(WedgeGeometry.from_n(5),
+                           IonPosition(200.0, math.pi / 15), "exact"),
+     ValidationError,
+     "orbit_source must be one of ('analytic', 'numeric'), got 'exact'"),
+])
+def test_input_checks_raise_their_error(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
