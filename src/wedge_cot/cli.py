@@ -389,8 +389,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Every flag string; each takes one value.
+_FLAGS = frozenset(flag for key in _OPTIONS for flag in key.split("/"))
+_NEGATIVE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each value that starts as a negative number (-1e-3, -inf,
+    -0.5,1) joined to the flag before it, as --flag=value: argparse before
+    3.13 takes --flag=-1e-3 but reads -1e-3 alone as a flag."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in _FLAGS and _NEGATIVE.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         try:
             status = args.func(args)

@@ -21,10 +21,17 @@ of rho and beta.  A rho sweep needs no template: its one catalog, at
 rho = 1/2, holds every chord as a length.  A beta sweep turns its even-j
 angles from the template's.
 
-For arbitrary opening angles the catalog is found by shooting: scan launch
-azimuths across the interior fan, record the signed miss distance at each
-closest approach to the ion, and bisect the sign changes.  The tests check
-it against the same images in radians.
+Any other opening angle takes the same images in radians:
+``enumerate_images`` keeps every image with |Delta_i| <= pi, so an orbit
+that passes next to the apex (|Delta_i| just below pi) is kept.  Its angles
+do not depend on rho, and its lengths are 2 rho times a rho-free chord, so
+a rho sweep needs one catalog on any wedge.
+
+``find_numeric`` finds the orbits of any wedge by shooting instead: scan
+launch azimuths across the interior fan, record the signed miss distance at
+each closest approach to the ion, and bisect the sign changes.  No catalog
+the package computes with comes from it; the tests hold the images to it,
+and to the ray tracer, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .geometry import (
     WedgeGeometry,
     ion_cartesian,
     trace,
+    validate_beta,
     wrap_angle,
 )
 from .records import Record
@@ -181,6 +189,30 @@ def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
     ]
 
 
+def enumerate_images(wedge: WedgeGeometry, ion: IonPosition) -> list[ClosedOrbit]:
+    """Catalog of the method of images for any opening angle: the orbit to
+    every image i != 0 with |Delta_i| <= pi, numbered from 1 in ascending
+    wrapped phi_out.  That order fixes the order of every orbit sum.  The
+    images i > 0 launch in (0, pi/2 + beta] and the images i < 0 in
+    [pi/2 + beta, pi], each side in ascending i, so the loop below is
+    already in it.  An orbit with |Delta_i| = pi would run through the
+    apex; off pi/N that takes an exact coincidence, and an orbit that
+    comes close to it is kept however close it comes.  A pi/N wedge takes
+    ``enumerate_analytic``, whose integer numerators keep the Delta = pi
+    test exact."""
+    validate_beta(wedge, ion)
+    alpha, beta, two_rho, orbits = wedge.opening_angle, ion.beta, 2.0 * ion.rho, []
+    top = int(math.pi / alpha) + 1  # |i| <= pi/alpha + 1 for |Delta_i| <= pi
+    for i in [*range(1, top + 1), *range(-top, 0)]:
+        half_delta = (i + i % 2) * alpha / 2 - (beta if i % 2 else 0.0)
+        if abs(half_delta) <= math.pi / 2:
+            shift = 0.0 if i % 2 else beta
+            out, ret = (wrap_angle(p + shift) for p in _image(i, alpha / 2, math.pi))
+            length = two_rho * abs(math.sin(half_delta))
+            orbits.append(ClosedOrbit(len(orbits) + 1, out, ret, abs(i), length))
+    return orbits
+
+
 #: Shooting-search resolution: launch samples per allowed reflection, the
 #: return radius as a fraction of rho, the bisection tolerance on the launch
 #: azimuth, and the azimuth within which two roots count as one orbit.
@@ -211,7 +243,9 @@ def default_search_config(wedge: WedgeGeometry) -> OrbitSearchConfig:
 def find_numeric(
     wedge: WedgeGeometry, ion: IonPosition, cfg: OrbitSearchConfig
 ) -> list[ClosedOrbit]:
-    """Shooting search for closed orbits of a wedge with any opening angle.
+    """Shooting search for closed orbits of a wedge with any opening angle:
+    the tests' independent oracle for ``enumerate_images``, which the
+    package computes with instead.
 
     Scans launch azimuths over the interior fan (right surface to left
     surface), brackets sign changes of the perpendicular miss distance at

@@ -24,7 +24,7 @@ prefactor * f_out * f_ret * sin(k L - m Delta) / L of each orbit over all
 points, in catalog order, where L is the orbit's length times the point's
 scale, and ``_fold`` adds them by the left fold ((0.0 + t_1) + t_2) + ...
 at each point.  The phases are phase_sin's.  sigma_total and energy grids
-take scale 1.0; a pi/N rho sweep takes the catalog at rho = 1/2, whose
+take scale 1.0; a rho sweep takes the catalog at rho = 1/2, whose
 lengths are the chords, and scale 2 rho.  Only the polarization map, whose
 cells each fold one point with +=, and a beta sweep's even-j orbits, whose
 phases do not move, form their terms outside ``_columns``, from phase_sin's
@@ -42,12 +42,7 @@ from .errors import BelowThresholdError, ValidationError
 from .geometry import (
     BETA_MIN, TWO_PI, IonPosition, WedgeGeometry, guard_band, validate_beta,
 )
-from .orbits import (
-    ClosedOrbit,
-    default_search_config,
-    enumerate_analytic,
-    find_numeric,
-)
+from .orbits import ClosedOrbit, enumerate_analytic, enumerate_images
 from .records import Record
 
 ORBIT_SOURCES = ("analytic", "numeric")
@@ -343,14 +338,14 @@ def orbit_catalog(
     ion: IonPosition,
     source: str = "analytic",
 ) -> tuple[ClosedOrbit, ...]:
-    """Closed orbits of the ion.  A pi/N wedge gets the image enumeration
-    ``enumerate_analytic`` from either source, so 'numeric' equals
-    'analytic' there bit for bit; any other opening angle takes the
-    shooting search, and only from source 'numeric'.  A wedge narrower than
-    the guard band 2 BETA_MIN is refused.  Built afresh on every call;
-    callers that keep the ion fixed build it once, and a position sweep on a
-    pi/N wedge builds one per sweep: at rho = 1/2 for a rho sweep, at its
-    first beta for a beta sweep."""
+    """Closed orbits of the ion, by the method of images.  A pi/N wedge
+    gets ``enumerate_analytic`` from either source, so 'numeric' equals
+    'analytic' there bit for bit; any other opening angle gets the images
+    in radians, ``enumerate_images``, and only from source 'numeric'.  A
+    wedge narrower than the guard band 2 BETA_MIN is refused, so at most
+    about 3,100 images are built.  Built afresh on every call; callers that
+    keep the ion fixed build it once, a rho sweep builds one at rho = 1/2,
+    and a beta sweep on a pi/N wedge builds one at its first beta."""
     if source not in ORBIT_SOURCES:
         raise ValidationError(
             f"orbit_source must be one of {ORBIT_SOURCES}, got {source!r}"
@@ -363,7 +358,7 @@ def orbit_catalog(
             "the analytic orbit catalog requires an opening angle pi/N; "
             "use the numeric orbit source for this wedge"
         )
-    return tuple(find_numeric(wedge, ion, default_search_config(wedge)))
+    return tuple(enumerate_images(wedge, ion))
 
 
 def sigma_total(

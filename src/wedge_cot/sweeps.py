@@ -256,18 +256,19 @@ def position_sweep(
     ``ion``.  Beta sweeps must stay inside the guard band
     [BETA_MIN, alpha - BETA_MIN].
 
-    A pi/N wedge, from either orbit source, builds one catalog per sweep,
-    and ``_pi_n_sums`` runs the kernel over every point orbit by orbit: a
-    rho sweep scales the lengths of its catalog at rho = 1/2, which are the
-    chords, by 2 rho; a beta sweep moves the odd-j chords and turns the
-    even-j polarization factors of its catalog at the first beta.  A beta
-    sweep never reads ``ion.beta``.  Any other wedge runs the shooting
-    search at every point.  Rows equal per-point ``sigma_total`` bit for
-    bit.  A sweep in which a catalog or the kernel raises at some point
-    replays its points from their own catalogs and raises what sigma_total
-    raises at the first such point.  A sum that comes out nan or inf
-    raises nothing here: the Dataset names its first row, as in
-    ``_energy_grid``.
+    A rho sweep on any wedge, and a beta sweep on a pi/N wedge, build one
+    catalog per sweep, and ``_one_catalog_sums`` runs the kernel over every
+    point orbit by orbit: a rho sweep scales the lengths of its catalog at
+    rho = 1/2, which are the chords, by 2 rho; a beta sweep moves the odd-j
+    chords and turns the even-j polarization factors of its catalog at the
+    first beta.  A beta sweep on any other wedge builds the images at every
+    point, since the count of its odd images, at Delta = (i+1) alpha -
+    2 beta, can change along the sweep.  A beta sweep never reads
+    ``ion.beta``.  Rows equal per-point ``sigma_total`` bit for bit.  A
+    sweep in which a catalog or the kernel raises at some point replays its
+    points from their own catalogs and raises what sigma_total raises at
+    the first such point.  A sum that comes out nan or inf raises nothing
+    here: the Dataset names its first row, as in ``_energy_grid``.
     """
     _validate_grid(start, stop, steps)
     if variable not in POSITION_VARIABLES:
@@ -299,12 +300,12 @@ def position_sweep(
         return _fold(_columns(orbits, [prefactor], [k], [1.0]), 1)[0]
 
     grid = _linspace(start, stop, steps)
-    if wedge.n_integer is None:
+    if variable == "beta" and wedge.n_integer is None:
         sigma_osc = [sigma_osc_at(value) for value in grid]
     else:
         try:
-            sigma_osc = _pi_n_sums(variable, grid, catalog_at, ion.rho, pol,
-                                   refl, prefactor, k)
+            sigma_osc = _one_catalog_sums(variable, grid, catalog_at, ion.rho,
+                                          pol, refl, prefactor, k)
         except (ZeroDivisionError, ValidationError):
             # Some point fails: replay point by point from catalogs, so that
             # the first failing point raises what its sigma_total raises.
@@ -327,18 +328,19 @@ def position_sweep(
     )
 
 
-def _pi_n_sums(variable, values, catalog_at, rho, pol, refl, prefactor, k):
-    """sigma_osc at every value of a pi/N position sweep, from one catalog,
-    orbit by orbit.
+def _one_catalog_sums(variable, values, catalog_at, rho, pol, refl, prefactor, k):
+    """sigma_osc at every value of a rho sweep, or of a beta sweep on a
+    pi/N wedge, from one catalog, orbit by orbit.
 
     A rho sweep takes the catalog at rho = 1/2, where every length is its
-    chord bit for bit (2.0 * 0.5 is 1.0), and scales it by 2 rho.  A beta
-    sweep takes the catalog at its first beta.  Its odd-j orbits keep their
-    factors and take their chords |sin(phi_out - beta)|, with 2 rho as the
-    scale's partner: the product is commutative, so L is the catalog's
-    2 rho chord.  Its even-j orbits keep their lengths and phases and turn
-    their factors by beta from the angles less beta of ``_template(N)``, as
-    ``enumerate_analytic`` does, in _columns' term order."""
+    chord bit for bit (2.0 * 0.5 is 1.0), and scales it by 2 rho; no angle
+    of a catalog depends on rho.  A beta sweep takes the catalog at its
+    first beta.  Its odd-j orbits keep their factors and take their chords
+    |sin(phi_out - beta)|, with 2 rho as the scale's partner: the product
+    is commutative, so L is the catalog's 2 rho chord.  Its even-j orbits
+    keep their lengths and phases and turn their factors by beta from the
+    angles less beta of ``_template(N)``, as ``enumerate_analytic`` does,
+    in _columns' term order."""
     width = len(values)
     prefactors, ks = [prefactor] * width, [k] * width
     if variable == "rho":

@@ -293,21 +293,92 @@ def test_energy_grid_names_its_first_failing_point(command, argv, message,
     ["polmap", "--theta-steps", "5", "--phi-steps", "8"],
 ])
 def test_numeric_source_runs_without_the_shooting_search_at_pi_over_n(
-        command, monkeypatch, capsys):
+        command, no_shooting, capsys):
     # On a pi/N wedge the numeric catalog is the analytic one: neither the
     # shooting search nor the ray tracer runs.
-    import wedge_cot.sweeps  # noqa: F401  (bind every name before patching)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the numeric orbit source ran the shooting search")
-
-    for name in ("find_numeric", "trace"):
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("wedge_cot") and hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
     assert main([*command, "--n", "5", "--orbit-source", "numeric"]) == 0
     out, err = capsys.readouterr()
     assert out and err == ""
+
+
+_OFF_PI_N_COMMANDS = [
+    ["orbits"],
+    ["spectrum", "--steps", "64"],
+    ["decompose", "--steps", "64"],
+    ["sweep-rho", "--steps", "64"],
+    ["sweep-beta", "--steps", "64"],
+    ["polmap", "--theta-steps", "5", "--phi-steps", "8"],
+]
+
+
+@pytest.mark.parametrize("alpha", ["1.0", "2.9"])
+@pytest.mark.parametrize("command", _OFF_PI_N_COMMANDS,
+                         ids=[argv[0] for argv in _OFF_PI_N_COMMANDS])
+def test_numeric_source_runs_without_the_shooting_search_off_pi_over_n(
+        command, alpha, no_shooting, capsys):
+    # Off pi/N the numeric catalog is the images in radians: neither the
+    # shooting search nor the ray tracer runs either.
+    assert main([*command, "--alpha", alpha, "--orbit-source", "numeric"]) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
+
+
+def _outcome(argv, capsys):
+    """(exit status, stdout, stderr) of one in-process run."""
+    capsys.readouterr()
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    return (status, *capsys.readouterr())
+
+
+#: (command, flag, the command's other arguments) for every flag that takes
+#: a number.
+_NUMERIC_FLAGS = [
+    ("spectrum", flag, ["--steps", "4"]) for flag in (
+        "--n", "--alpha", "--rho", "--beta", "--delta", "--pol", "--c-au",
+        "--e-b-ev", "--b-norm", "--e-min", "--e-max", "--steps")
+] + [
+    ("sweep-rho", flag, ["--steps", "4"])
+    for flag in ("--rho-min", "--rho-max", "--e-photon")
+] + [
+    ("sweep-beta", flag, ["--steps", "4"]) for flag in ("--beta-min", "--beta-max")
+] + [
+    ("polmap", flag, ["--theta-steps", "3", "--phi-steps", "4"])
+    for flag in ("--theta-steps", "--phi-steps")
+]
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-5e9", "-inf"])
+@pytest.mark.parametrize("command, flag, rest", _NUMERIC_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in _NUMERIC_FLAGS])
+def test_negative_numbers_in_exponent_form_read_as_values(command, flag, rest,
+                                                          value, capsys):
+    # argparse before 3.13 read -1e-3 as a flag: exit 2 with a usage block,
+    # while --flag=-1e-3 ran.  The two spellings must end the same way.
+    if flag == "--pol":
+        value += ",0.5"
+    spaced = _outcome([command, *rest, flag, value], capsys)
+    joined = _outcome([command, *rest, f"{flag}={value}"], capsys)
+    assert spaced == joined
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--delta", "-1e-3", "--steps", "4"], None),
+    (["spectrum", "--rho", "-1e-3", "--steps", "4"],
+     "error[invalid-input] rho must be positive and finite, got -0.001\n"),
+    (["spectrum", "--delta", "-1e999", "--steps", "4"],
+     "error[invalid-input] delta must be finite\n"),
+    (["sweep-rho", "--rho-min", "-5e9", "--steps", "4"],
+     "error[invalid-input] rho grid must be positive, got -5000000000.0\n"),
+], ids=["delta-runs", "rho", "delta-inf", "rho-min"])
+def test_negative_values_run_or_give_one_error_line(argv, message, capsys):
+    status, out, err = _outcome(argv, capsys)
+    if message is None:
+        assert (status, err) == (0, "") and out
+    else:
+        assert (status, out, err) == (2, "", message)
 
 
 def test_below_threshold_exit_2(capsys):

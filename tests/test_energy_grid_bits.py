@@ -136,13 +136,19 @@ def test_sigma_total_is_the_reference_orbit_sum(wedge_beta, rho_exp, refl, pol,
 # (N, beta, beta') with both betas anywhere in the guard band.
 _band_betas = st.integers(1, 200).flatmap(lambda n: st.tuples(
     st.just(n), st.floats(*_band(n)), st.floats(*_band(n))))
+# The same with an opening angle alpha in place of N, down to the narrowest
+# wedge the guard band allows.
+_alpha_betas = st.floats(2.0 * BETA_MIN, math.pi, exclude_min=True).flatmap(
+    lambda alpha: st.tuples(st.just(alpha), st.floats(BETA_MIN, alpha - BETA_MIN),
+                            st.floats(BETA_MIN, alpha - BETA_MIN)))
 _exponents = st.floats(-3.0, 12.0)
 _edge_args = dict(exps=(2.0, -3.0, 12.0), soft=False, theta=1.0, phi=0.3,
                   steps=32)
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_band_betas, exps=st.tuples(_exponents, _exponents, _exponents),
+@given(case=st.one_of(_band_betas, _alpha_betas),
+       exps=st.tuples(_exponents, _exponents, _exponents),
        soft=st.booleans(), theta=st.floats(0.0, math.pi),
        phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
        steps=st.integers(2, 32))
@@ -150,15 +156,23 @@ _edge_args = dict(exps=(2.0, -3.0, 12.0), soft=False, theta=1.0, phi=0.3,
 @example(case=(200, *_band(200)), **_edge_args)  # both guard-band edges
 @example(case=(7, *_band(7)), exps=(12.0, -3.0, 12.0), soft=True,  # k L > 2**32
          theta=0.5 * math.pi, phi=0.0, steps=2)
+@example(case=(1.0, BETA_MIN, 1.0 - BETA_MIN), **_edge_args)
+@example(case=(2.9, 0.4, 2.5), exps=(12.0, -3.0, 12.0), soft=True,
+         theta=0.5 * math.pi, phi=0.0, steps=32)
+@example(case=(2.5e-3, 1.1e-3, 1.4e-3), **_edge_args)  # about 2,500 orbits
 def test_position_sweep_rows_are_per_point_sigma_total(case, exps, soft, theta,
                                                        phi, steps):
-    """The analytic template, evaluated per point, gives every rho and beta
-    row of per-point sigma_total bit for bit, for N = 1..200 and rho from
-    1e-3 to 1e12 bohr."""
-    n, beta_a, beta_b = case
+    """Every rho and beta row of a position sweep is per-point sigma_total
+    bit for bit, for N = 1..200 from the analytic source and for any
+    opening angle in the guard band from the numeric one (a rho sweep off
+    pi/N from one catalog too), with rho from 1e-3 to 1e12 bohr."""
+    spec, beta_a, beta_b = case
     rho, *rhos = (10.0**e for e in exps)
     assume(beta_a != beta_b and rhos[0] != rhos[1])
-    wedge = WedgeGeometry.from_n(n)
+    if isinstance(spec, int):
+        wedge, source = WedgeGeometry.from_n(spec), "analytic"
+    else:
+        wedge, source = WedgeGeometry.from_alpha(spec), "numeric"
     betas = sorted((beta_a, beta_b))
     ion = IonPosition(rho, betas[0])
     pol = Polarization(theta, phi)
@@ -168,9 +182,9 @@ def test_position_sweep_rows_are_per_point_sigma_total(case, exps, soft, theta,
         ("beta", betas, lambda v: IonPosition(ion.rho, v)),
     ):
         for row in position_sweep(variable, *ends, steps, 1.0, wedge, ion,
-                                  pol, refl).rows:
-            p = sigma_total(1.0, wedge, at(row[0]), pol, refl)
-            assert row == (row[0], p.sigma0, p.sigma_osc, p.sigma)
+                                  pol, refl, source).rows:
+            p = sigma_total(1.0, wedge, at(row[0]), pol, refl, source)
+            assert _bits(row) == _bits((row[0], p.sigma0, p.sigma_osc, p.sigma))
 
 
 @settings(max_examples=100, deadline=timedelta(seconds=10))

@@ -41,6 +41,15 @@ GOLDEN = {
         "4c92415dabb1a15788d58dc12e5aee06ab647a5cc5529f45a3ea86e2a0b45df3",
     "sweep-rho --orbit-source numeric --steps 16 --format csv":
         "9c89a69d1885e260b056b87440cef9e661893aba94a3c3219ccc9746a7a43b64",
+    # Off pi/N: the numeric catalog is the images in radians.
+    "orbits --alpha 1 --orbit-source numeric":
+        "96761e162d54950e60f5527120e501386ea9a7b6f9f40b2a7f8426a7bcea5915",
+    "decompose --alpha 1 --orbit-source numeric --steps 16 --format csv":
+        "ca4856ac735c533776536d42c0578864c96609abe74a64318392576d0e3330ff",
+    "sweep-rho --alpha 1 --orbit-source numeric --steps 16 --format csv":
+        "190e9ed0dcc9bca469e84f0804b8bab5ab6a9b31f2652891a053f5bb385b1d8e",
+    "sweep-beta --alpha 1 --orbit-source numeric --steps 16 --format csv":
+        "d8ac5fe3f2619661d38a24b1819189b4012bed1c2ff295cfd1100775d3b766e3",
 }
 
 

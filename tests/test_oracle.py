@@ -79,8 +79,12 @@ def test_radial_integral_matches_scipy_quad():
         def integrand(r):
             return math.exp(-K_B * r) * special.spherical_jn(1, k * r) * r * r
 
-        value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13,
-                                  epsrel=1e-12, limit=400)
+        # A finite range: quad maps [0, inf) onto (0, 1], which crowds the
+        # oscillation of j1 into one endpoint and misses rtol 1e-10 at
+        # scattered k (k = 4.7395 among them). Past r = 80/K_B the
+        # integrand is below e^-80 of its scale.
+        value, _ = integrate.quad(integrand, 0.0, 80.0 / K_B, epsabs=1e-15,
+                                  epsrel=1e-12, limit=2000)
         np.testing.assert_allclose(radial_integral(k), value, rtol=1e-10)
 
     check()

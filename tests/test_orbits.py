@@ -1,7 +1,9 @@
-"""Closed-orbit catalogs: the method of images at pi/N, and the shooting
-search for any opening angle, checked against the same images."""
+"""Closed-orbit catalogs: the method of images, exact and in floats at pi/N
+and in radians for any opening angle, checked against the shooting search
+and the ray tracer as independent oracles."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,14 +25,11 @@ from wedge_cot.geometry import (
     WedgeGeometry,
     ion_cartesian,
     trace,
-    validate_beta,
-    wrap_angle,
 )
 from wedge_cot.orbits import (
     SCAN_SAMPLES_PER_REFLECTION,
     ClosedOrbit,
     OrbitSearchConfig,
-    _image,
     default_search_config,
     enumerate_analytic,
     exact_catalog,
@@ -429,26 +428,6 @@ def test_search_config_validation():
 
 # ------------------------------------------------ images for any opening angle
 
-def images(wedge, ion):
-    """The catalog of the method of images for any opening angle: the orbit
-    to every image with |Delta_i| <= pi, i > 0 first, in ascending phi_out.
-    ``_image`` gives its angles in radians here; at pi/N it is the analytic
-    catalog, whose integer numerators keep the Delta = pi test exact."""
-    if wedge.n_integer:
-        return orbit_catalog(wedge, ion, "analytic")
-    validate_beta(wedge, ion)
-    alpha, beta, orbits = wedge.opening_angle, ion.beta, []
-    top = int(math.pi / alpha) + 1
-    for i in [*range(1, top + 1), *range(-top, 0)]:
-        half_delta = (i + i % 2) * alpha / 2 - (beta if i % 2 else 0.0)
-        if abs(half_delta) <= math.pi / 2:
-            shift = 0.0 if i % 2 else beta
-            out, ret = (wrap_angle(p + shift) for p in _image(i, alpha / 2, math.pi))
-            length = 2.0 * ion.rho * abs(math.sin(half_delta))
-            orbits.append(ClosedOrbit(len(orbits) + 1, out, ret, abs(i), length))
-    return orbits
-
-
 #: Where the shooting search is known to lose orbits that the images keep
 #: (and that retrace under the ray tracer), so the two are not compared:
 #: - an orbit whose |Delta| lies within SEARCH_APEX_BAND of pi launches
@@ -500,10 +479,11 @@ def in_search_band(wedge, ion):
 
 
 def assert_matches_shooting(wedge, ion):
-    shooting = orbit_catalog(wedge, ion, "numeric")
-    reference = images(wedge, ion)
-    assert len(shooting) == len(reference)
-    for ref, got in zip(reference, shooting):
+    """The runtime catalog against the shooting search, its oracle."""
+    catalog = orbit_catalog(wedge, ion, "numeric")
+    reference = find_numeric(wedge, ion, default_search_config(wedge))
+    assert len(catalog) == len(reference)
+    for ref, got in zip(reference, catalog):
         assert (got.index, got.m) == (ref.index, ref.m)
         for a, b in ((got.phi_out, ref.phi_out), (got.phi_ret, ref.phi_ret)):
             gap = abs(a - b) % TWO_PI
@@ -518,26 +498,32 @@ def assert_matches_shooting(wedge, ion):
 @example(alpha=1.0, beta_frac=math.pi / 2 - 1.0 + 1e-8, rho=200.0)
 @example(alpha=1.0, beta_frac=0.01, rho=200.0)
 def test_shooting_equals_the_images_outside_its_bands(alpha, beta_frac, rho):
-    """The numeric catalog, from the shooting search off pi/N, agrees with
-    the images to 1e-9 in count, order, m, phi_out, phi_ret and L, except
-    in the search's stated bands."""
+    """The numeric catalog, from the images off pi/N, agrees with the
+    shooting search to 1e-9 in count, order, m, phi_out, phi_ret and L,
+    except in the search's stated bands, and every orbit retraces under
+    the ray tracer."""
     wedge = WedgeGeometry.from_alpha(alpha)
     ion = IonPosition(rho, beta_frac * alpha)
     assume(not in_search_band(wedge, ion))
     assert_matches_shooting(wedge, ion)
+    assert_retraces(wedge, ion, orbit_catalog(wedge, ion, "numeric"))
 
 
 @settings(max_examples=300, deadline=None)
 @given(alpha=st.floats(0.01, math.pi), beta_frac=st.floats(0.001, 0.999),
        rho=st.floats(1e-3, 1e8))
 def test_images_keep_the_count_law_rescaling_and_time_reversal(alpha, beta_frac, rho):
-    """The count is #{i : |Delta_i| <= pi} (2N-1 at pi/N), m = |i| and
-    L = 2 rho |sin(Delta_i / 2)|; angles do not move with rho and lengths
-    scale with it exactly; odd-m orbits retrace themselves, and every even-m
-    orbit has its time-reversed partner, with the same length bits."""
+    """The numeric catalog's count is #{i : |Delta_i| <= pi} (2N-1 at
+    pi/N), m = |i| and L = 2 rho |sin(Delta_i / 2)|; the orbits are
+    numbered from 1 in strictly ascending phi_out; angles do not move with
+    rho and lengths scale with it exactly; odd-m orbits retrace themselves,
+    and every even-m orbit has its time-reversed partner, with the same
+    length bits."""
     wedge = WedgeGeometry.from_alpha(alpha)
     ion = IonPosition(rho, beta_frac * alpha)
-    orbits = images(wedge, ion)
+    orbits = orbit_catalog(wedge, ion, "numeric")
+    assert [o.index for o in orbits] == list(range(1, len(orbits) + 1))
+    assert all(a.phi_out < b.phi_out for a, b in zip(orbits, orbits[1:]))
     if wedge.n_integer:
         assert len(orbits) == 2 * wedge.n_integer - 1
     else:
@@ -547,7 +533,7 @@ def test_images_keep_the_count_law_rescaling_and_time_reversal(alpha, beta_frac,
         for o, (m, h) in zip(sorted(orbits, key=lambda o: (o.m, o.length)), expected):
             assert o.m == m
             assert o.length == pytest.approx(2.0 * rho * math.sin(h), rel=1e-12)
-    unit = images(wedge, IonPosition(1.0, ion.beta))
+    unit = orbit_catalog(wedge, IonPosition(1.0, ion.beta), "numeric")
     for got, ref in zip(orbits, unit, strict=True):
         assert (got.phi_out, got.phi_ret, got.m) == (ref.phi_out, ref.phi_ret, ref.m)
         assert got.length == rho * ref.length
@@ -573,14 +559,15 @@ def test_numeric_catalog_is_the_analytic_catalog_for_every_n():
 
 @pytest.mark.parametrize("alpha, search_resolves", [(1.0, False), (2.9, True)])
 def test_images_at_the_guard_band_edges(alpha, search_resolves):
-    """beta at BETA_MIN and at alpha - BETA_MIN: every image retraces under
-    the ray tracer, and the shooting search equals the images where it
-    resolves them.  At alpha = 1 it does not: the m = 1 and m = 2 launches
-    lie BETA_MIN apart, inside one scan step, and it finds 2 of the 5."""
+    """beta at BETA_MIN and at alpha - BETA_MIN: every orbit of the numeric
+    catalog retraces under the ray tracer, and the shooting search equals
+    it where it resolves the orbits.  At alpha = 1 it does not: the m = 1
+    and m = 2 launches lie BETA_MIN apart, inside one scan step, and it
+    finds 2 of the 5."""
     wedge = WedgeGeometry.from_alpha(alpha)
     for beta in (BETA_MIN, alpha - BETA_MIN):
         ion = IonPosition(200.0, beta)
-        orbits = images(wedge, ion)
+        orbits = orbit_catalog(wedge, ion, "numeric")
         assert len(orbits) == len(closing(alpha, beta))
         assert_retraces(wedge, ion, orbits)
         assert in_search_band(wedge, ion) is not search_resolves
@@ -595,14 +582,49 @@ def test_images_at_the_guard_band_edges(alpha, search_resolves):
 @example(n=4, offset=math.log10(2.7e-9), side=-1.0, beta_frac=0.7)
 def test_images_pair_every_orbit_next_to_pi_over_n(n, offset, side, beta_frac):
     """1e-12 to 3e-9 (relative) either side of a pi/N, inside the shooting
-    search's band, the images keep the count law and both orbits of every
-    time-reversed pair: the m = N pair closes just below pi/N."""
+    search's band, the numeric catalog keeps the count law and both orbits
+    of every time-reversed pair: the m = N pair closes just below pi/N."""
     alpha = math.pi / n * (1.0 + side * 10.0**offset)
     assume(alpha <= math.pi)
     wedge = WedgeGeometry.from_alpha(alpha)
     ion = IonPosition(200.0, beta_frac * alpha)
-    orbits = images(wedge, ion)
+    orbits = orbit_catalog(wedge, ion, "numeric")
     expected = closing(alpha, ion.beta)
     if not wedge.n_integer and expected is not None:
         assert len(orbits) == len(expected)
     assert unpaired(orbits) == []
+
+
+@pytest.mark.parametrize("epsilon", [1e-10, 1e-11, 5e-12])
+def test_an_orbit_next_to_the_apex_is_kept(epsilon):
+    """At alpha = 1 the image i = 3 sits at Delta = 4 alpha - 2 beta.  With
+    |Delta| = pi - epsilon its orbit passes next to the apex and is kept,
+    and it retraces; with pi + epsilon it does not close."""
+    wedge = WedgeGeometry.from_alpha(1.0)
+    for sign, count in ((-1.0, 6), (1.0, 5)):
+        beta = (4.0 - (math.pi + sign * epsilon)) / 2.0
+        ion = IonPosition(200.0, beta)
+        orbits = orbit_catalog(wedge, ion, "numeric")
+        assert len(orbits) == len(closing(1.0, beta)) == count
+        longest = max(orbits, key=lambda o: o.length)
+        if sign < 0.0:
+            assert longest.m == 3
+            assert longest.length == pytest.approx(2.0 * ion.rho, rel=1e-12)
+            assert_retraces(wedge, ion, orbits)
+        else:
+            assert longest.length < 1.99 * ion.rho
+
+
+@pytest.mark.parametrize("alpha", [0.02, math.nextafter(2.0 * BETA_MIN, 1.0)])
+def test_narrow_wedges_build_their_catalog_fast_without_shooting(alpha,
+                                                                 no_shooting):
+    """alpha = 0.02 took the shooting search 50 s; it, and the narrowest
+    wedge the guard band allows, each build the images in under 0.5 s,
+    with neither the shooting search nor the ray tracer called."""
+    wedge = WedgeGeometry.from_alpha(alpha)
+    ion = IonPosition(200.0, 0.5 * alpha)
+    start = time.perf_counter()
+    orbits = orbit_catalog(wedge, ion, "numeric")
+    assert time.perf_counter() - start < 0.5
+    assert len(orbits) == len(closing(alpha, ion.beta))
+    assert unpaired(orbits, tol=1e-12) == []

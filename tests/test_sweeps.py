@@ -168,15 +168,15 @@ def test_decomposition_total_matches_sigma_total(hard):
     cases += [(WedgeGeometry.from_n(3), hard, "numeric")]
     cases += [(WedgeGeometry.from_alpha(alpha), refl, "numeric")
               for alpha in (1.0, 2.9) for refl in (hard, ReflectionModel.soft())]
+    steps = 16
+    # 1e12 bohr at 1 eV: k L up to about 2.7e11, past 2**32.
+    rho_ranges = [(1e-3, 1.0), (50.0, 800.0), (1e9, 1e12)]
     for wedge, refl, source in cases:
         ion = IonPosition(200.0, 0.3 * wedge.opening_angle)
-        # Off pi/N every catalog is a shooting search: fewer points there.
-        shooting = wedge.n_integer is None
 
         def point(e, pol=oblique, at=ion):
             return sigma_total(e, wedge, at, pol, refl, source)
 
-        steps = 3 if shooting else 16
         args = (0.9, 1.1, steps, wedge, ion, oblique, refl, source)
         for row in energy_sweep(*args).rows:
             p = point(row[0])
@@ -184,17 +184,11 @@ def test_decomposition_total_matches_sigma_total(hard):
         for row in orbit_decomposition(*args).rows:
             assert row[1] == point(row[0]).sigma_osc
         for theta, phi, osc in polarization_map(
-                *((3, 2) if shooting else (5, 4)), 1.0, wedge, ion, refl, source).rows:
+                5, 4, 1.0, wedge, ion, refl, source).rows:
             assert osc == point(1.0, Polarization(theta, phi)).sigma_osc
 
-        if shooting:
-            pols, rho_ranges = (oblique,), [(50.0, 800.0)]
-        else:
-            # 1e12 bohr at 1 eV: k L up to about 2.7e11, past 2**32.
-            pols = (Polarization.x(), oblique)
-            rho_ranges = [(1e-3, 1.0), (50.0, 800.0), (1e9, 1e12)]
         betas = (BETA_MIN, wedge.opening_angle - BETA_MIN)
-        for pol in pols:
+        for pol in (Polarization.x(), oblique):
             for rho_range in rho_ranges:
                 for row in position_sweep("rho", *rho_range, steps, 1.0, wedge,
                                           ion, pol, refl, source).rows:
@@ -378,11 +372,11 @@ def test_beta_sweep_names_a_failing_even_orbit_as_its_first_point_does(wedge5,
                        far, x, hard)
 
 
-def test_position_sweep_builds_one_catalog_on_pi_over_n_only(monkeypatch,
-                                                            ion_ref, hard):
-    """A pi/N sweep builds the catalog of its first point only; off pi/N
-    every point runs the shooting search.  The rows cannot tell: a catalog
-    at every point gives the same bits."""
+def test_position_sweep_builds_one_catalog_but_off_pi_over_n_in_beta(
+        monkeypatch, ion_ref, hard):
+    """A rho sweep on any wedge, and a beta sweep on a pi/N wedge, build one
+    catalog; a beta sweep off pi/N builds the images at every point.  The
+    rows cannot tell: a catalog at every point gives the same bits."""
     import wedge_cot.sweeps
 
     built = []
@@ -402,11 +396,12 @@ def test_position_sweep_builds_one_catalog_on_pi_over_n_only(monkeypatch,
                            source)
             assert len(built) == 1
     wide = WedgeGeometry.from_alpha(2.0)
-    for variable, ends in (("rho", (50.0, 800.0)), ("beta", (0.5, 1.0))):
+    for variable, ends, builds in (("rho", (50.0, 800.0), 1),
+                                   ("beta", (0.5, 1.0), 3)):
         built.clear()
         position_sweep(variable, *ends, 3, 1.0, wide, IonPosition(200.0, 0.7),
                        x, hard, "numeric")
-        assert len(built) == 3
+        assert len(built) == builds
 
 
 # -------------------------------------------------------- polarization map
