@@ -373,8 +373,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser whose errors end as one error[invalid-input] line;
+    --help and --version still exit 0."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wedge-cot",
         description="Closed-orbit photodetachment cross sections for an ion "
                     "inside a wedge cavity.",
@@ -409,8 +417,8 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_values(argv))
     try:
+        args = build_parser().parse_args(_join_negative_values(argv))
         try:
             status = args.func(args)
             sys.stdout.flush()  # a reader that has closed fails here

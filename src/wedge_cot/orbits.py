@@ -1,31 +1,24 @@
 """Catalogs of closed orbits: trajectories leaving the ion and returning to it.
 
-The pi/N catalogs come from the method of images.  Unfold the wedge about
-its surfaces and measure angles from the left one: the ion sits at beta, its
+Every catalog comes from the method of images.  Unfold the wedge about its
+surfaces and measure angles from the left one: the ion sits at beta, its
 image i != 0 at i alpha + beta for even i and (i+1) alpha - beta for odd i.
 The line to image i folds back into a closed orbit with m = |i| bounces and
 length L = 2 rho |sin(Delta_i / 2)| when the image's angle Delta_i from the
 ion is at most pi.  ``_image`` writes its launch and return azimuths once:
 odd-i orbits retrace themselves, even-i ones pair with their time-reversed
-partners i <-> -i.
+partners i <-> -i.  ``_table(wedge)`` holds what of each image's orbit is
+free of rho and beta, and ``_evaluate`` makes the catalog at (rho, beta)
+of it, so a rho sweep needs one catalog and a beta sweep one table.
 
 A pi/N wedge has the 2N-1 images i = 1..N, -(N-1)..-1, indexed j = 1..2N-1
 (j = i mod 2N) and listed in j order.  That is ascending phi_out, except in
 floats when beta is a few ulps below pi/N: an even-j launch j pi/(2N) + beta
 can then round one ulp above the next odd one.  Its angles are integer
-numerators over 2N, plus beta for even j, so its count needs no Delta = pi
-test.  ``exact_catalog`` keeps them as exact Fractions of pi;
-``enumerate_analytic`` evaluates at (rho, beta) the constants of
-``_template(n)``, which rounds each p pi/(2N) once and holds everything free
-of rho and beta.  A rho sweep needs no template: its one catalog, at
-rho = 1/2, holds every chord as a length.  A beta sweep turns its even-j
-angles from the template's.
-
-Any other opening angle takes the same images in radians:
-``enumerate_images`` keeps every image with |Delta_i| <= pi, so an orbit
-that passes next to the apex (|Delta_i| just below pi) is kept.  Its angles
-do not depend on rho, and its lengths are 2 rho times a rho-free chord, so
-a rho sweep needs one catalog on any wedge.
+numerators over 2N, each rounded once, plus beta for even j, so its count
+needs no Delta = pi test; ``exact_catalog`` keeps them as exact Fractions
+of pi.  Any other opening angle takes every image with |Delta_i| <= pi in
+radians, so an orbit that passes next to the apex is kept.
 
 ``find_numeric`` finds the orbits of any wedge by shooting instead: scan
 launch azimuths across the interior fan, record the signed miss distance at
@@ -77,9 +70,10 @@ class ClosedOrbit(Record, namedtuple("ClosedOrbit", "index phi_out phi_ret m len
             raise ZeroLengthOrbitError(
                 f"orbit length must be positive, got {length!r}"
             )
-        for name, value in (("phi_out", phi_out), ("phi_ret", phi_ret)):
-            if not (0.0 <= value < TWO_PI):
-                raise ValidationError(f"{name} must lie in [0, 2*pi), got {value!r}")
+        if not (0.0 <= phi_out < TWO_PI and 0.0 <= phi_ret < TWO_PI):
+            name, value = (("phi_ret", phi_ret) if 0.0 <= phi_out < TWO_PI
+                           else ("phi_out", phi_out))
+            raise ValidationError(f"{name} must lie in [0, 2*pi), got {value!r}")
         return tuple.__new__(cls, (index, phi_out, phi_ret, m, length))
 
 
@@ -152,26 +146,52 @@ def exact_catalog(n: int, beta_over_pi: Fraction) -> list[ExactOrbit]:
     return orbits
 
 
-def _template(n: int) -> list[tuple]:
-    """The rho- and beta-free constants of the pi/N catalog, in j order:
-    (m, phi_out, phi_ret, chord) with the angles of even-j orbits less beta
-    and the chord of odd-j orbits None.  Odd-j orbits keep their angles and
-    move their chords with beta; even-j orbits keep their chords and shift
-    their angles by beta.  Every length is 2 rho times the chord."""
-    two_n = 2 * n  # every angle is a multiple of pi/(2N), plus beta for even j
-    return [
-        (abs(i), *(p % (2 * two_n) / two_n * math.pi % TWO_PI
-                   for p in _image(i, 1, two_n)),
-         # m pi/(2N) gives partners j <-> 2N-j equal length bits.
-         None if i % 2 else abs(math.sin(abs(i) / two_n * math.pi)))
-        for i in _pi_n_images(n)
-    ]
+def _table(wedge: WedgeGeometry) -> list[tuple]:
+    """One row per image, in catalog order: (m, phi_out, phi_ret, chord,
+    base, tested).  An odd row keeps its angles and has chord None: it takes
+    |sin(base - beta)|, where untested or |base - beta| <= pi/2.  An even
+    row keeps its chord and has its angles less beta.  L = 2 rho chord."""
+    rows, n = [], wedge.n_integer
+    if n is not None:
+        two_n = 2 * n  # every angle is p pi/(2N), rounded once, plus beta for even j
+        angles = [p / two_n * math.pi % TWO_PI for p in range(2 * two_n)]
+        for i in _pi_n_images(n):
+            p_out, p_ret = _image(i, 1, two_n)
+            out, ret = angles[p_out % (2 * two_n)], angles[p_ret % (2 * two_n)]
+            # m pi/(2N) gives partners j <-> 2N-j equal length bits.
+            chord = None if i % 2 else abs(math.sin(angles[abs(i)]))
+            rows.append((abs(i), out, ret, chord, out, False))
+        return rows
+    alpha = wedge.opening_angle
+    top = int(math.pi / alpha) + 1  # |i| <= pi/alpha + 1 for |Delta_i| <= pi
+    for i in [*range(1, top + 1), *range(-top, 0)]:
+        if i % 2:  # Delta_i / 2 is (i+1) alpha/2 - beta
+            out, ret = _image(i, alpha / 2, math.pi)
+            rows.append((abs(i), wrap_angle(out), wrap_angle(ret), None,
+                         (i + 1) * alpha / 2, True))
+        elif abs(i * alpha / 2) <= math.pi / 2:
+            out, ret = _image(i, alpha / 2, math.pi)
+            rows.append((abs(i), out, ret, abs(math.sin(i * alpha / 2)), None, False))
+    return rows
+
+
+def _evaluate(table: list[tuple], ion: IonPosition) -> list[ClosedOrbit]:
+    """The catalog of a ``_table`` at (rho, beta), numbered from 1."""
+    beta, two_rho, orbits = ion.beta, 2.0 * ion.rho, []
+    for m, out, ret, chord, base, tested in table:
+        if chord is not None:
+            out, ret = wrap_angle(out + beta), wrap_angle(ret + beta)
+        elif tested and not abs(base - beta) <= math.pi / 2:
+            continue
+        else:
+            chord = abs(math.sin(base - beta))
+        orbits.append(ClosedOrbit(len(orbits) + 1, out, ret, m, two_rho * chord))
+    return orbits
 
 
 def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
     """Analytic catalog for a pi/N wedge: 2N-1 orbits in j order, which is
-    ascending phi_out except for beta a few ulps below pi/N (see above).
-    It is ``_template(n)`` evaluated at (rho, beta)."""
+    ascending phi_out except for beta a few ulps below pi/N (see above)."""
     _validate_n(n)
     # The j = 1 launch (1/N) pi can round below pi/N; beta must stay under
     # it too, or the j = 1 chord is zero.
@@ -180,37 +200,16 @@ def enumerate_analytic(n: int, ion: IonPosition) -> list[ClosedOrbit]:
         raise BetaRangeError(
             f"beta={ion.beta!r} outside (0, {alpha!r}) for a pi/{n} wedge"
         )
-    beta, two_rho = ion.beta, 2.0 * ion.rho
-    # The odd sin argument lies in (0, pi): the |.| is a formality.
-    return [
-        ClosedOrbit(j, out, ret, m, two_rho * abs(math.sin(out - beta))) if j % 2
-        else ClosedOrbit(j, out + beta, (ret + beta) % TWO_PI, m, two_rho * chord)
-        for j, (m, out, ret, chord) in enumerate(_template(n), 1)
-    ]
+    return _evaluate(_table(WedgeGeometry.from_n(n)), ion)
 
 
 def enumerate_images(wedge: WedgeGeometry, ion: IonPosition) -> list[ClosedOrbit]:
-    """Catalog of the method of images for any opening angle: the orbit to
-    every image i != 0 with |Delta_i| <= pi, numbered from 1 in ascending
-    wrapped phi_out.  That order fixes the order of every orbit sum.  The
-    images i > 0 launch in (0, pi/2 + beta] and the images i < 0 in
-    [pi/2 + beta, pi], each side in ascending i, so the loop below is
-    already in it.  An orbit with |Delta_i| = pi would run through the
-    apex; off pi/N that takes an exact coincidence, and an orbit that
-    comes close to it is kept however close it comes.  A pi/N wedge takes
-    ``enumerate_analytic``, whose integer numerators keep the Delta = pi
-    test exact."""
+    """Catalog of the method of images for any opening angle, in ascending
+    wrapped phi_out, the order of every orbit sum: images i > 0 launch in
+    (0, pi/2 + beta] and i < 0 in [pi/2 + beta, pi], each side in ascending
+    i.  An orbit that comes close to the apex is kept however close."""
     validate_beta(wedge, ion)
-    alpha, beta, two_rho, orbits = wedge.opening_angle, ion.beta, 2.0 * ion.rho, []
-    top = int(math.pi / alpha) + 1  # |i| <= pi/alpha + 1 for |Delta_i| <= pi
-    for i in [*range(1, top + 1), *range(-top, 0)]:
-        half_delta = (i + i % 2) * alpha / 2 - (beta if i % 2 else 0.0)
-        if abs(half_delta) <= math.pi / 2:
-            shift = 0.0 if i % 2 else beta
-            out, ret = (wrap_angle(p + shift) for p in _image(i, alpha / 2, math.pi))
-            length = two_rho * abs(math.sin(half_delta))
-            orbits.append(ClosedOrbit(len(orbits) + 1, out, ret, abs(i), length))
-    return orbits
+    return _evaluate(_table(wedge), ion)
 
 
 #: Shooting-search resolution: launch samples per allowed reflection, the

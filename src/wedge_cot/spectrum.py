@@ -26,7 +26,7 @@ scale, and ``_fold`` adds them by the left fold ((0.0 + t_1) + t_2) + ...
 at each point.  The phases are phase_sin's.  sigma_total and energy grids
 take scale 1.0; a rho sweep takes the catalog at rho = 1/2, whose
 lengths are the chords, and scale 2 rho.  Only the polarization map, whose
-cells each fold one point with +=, and a beta sweep's even-j orbits, whose
+cells each fold one point with +=, and a beta sweep's even orbits, whose
 phases do not move, form their terms outside ``_columns``, from phase_sin's
 phases in the same order.
 """
@@ -333,31 +333,34 @@ def _fold(columns: list[list[float]], width: int) -> list[float]:
     return sums
 
 
-def orbit_catalog(
-    wedge: WedgeGeometry,
-    ion: IonPosition,
-    source: str = "analytic",
-) -> tuple[ClosedOrbit, ...]:
-    """Closed orbits of the ion, by the method of images.  A pi/N wedge
-    gets ``enumerate_analytic`` from either source, so 'numeric' equals
-    'analytic' there bit for bit; any other opening angle gets the images
-    in radians, ``enumerate_images``, and only from source 'numeric'.  A
-    wedge narrower than the guard band 2 BETA_MIN is refused, so at most
-    about 3,100 images are built.  Built afresh on every call; callers that
-    keep the ion fixed build it once, a rho sweep builds one at rho = 1/2,
-    and a beta sweep on a pi/N wedge builds one at its first beta."""
+def _check_source(wedge: WedgeGeometry, source: str):
+    """Raise unless source serves the wedge (either a pi/N wedge, only
+    'numeric' any other) and the wedge holds the guard band 2 BETA_MIN, so
+    that at most about 3,100 images are built."""
     if source not in ORBIT_SOURCES:
         raise ValidationError(
             f"orbit_source must be one of {ORBIT_SOURCES}, got {source!r}"
         )
     guard_band(wedge, BETA_MIN)
-    if wedge.n_integer is not None:
-        return tuple(enumerate_analytic(wedge.n_integer, ion))
-    if source == "analytic":
+    if wedge.n_integer is None and source == "analytic":
         raise ValidationError(
             "the analytic orbit catalog requires an opening angle pi/N; "
             "use the numeric orbit source for this wedge"
         )
+
+
+def orbit_catalog(
+    wedge: WedgeGeometry,
+    ion: IonPosition,
+    source: str = "analytic",
+) -> tuple[ClosedOrbit, ...]:
+    """Closed orbits of the ion by the method of images: a pi/N wedge gets
+    ``enumerate_analytic`` from either source, bit for bit, and any other
+    the images in radians.  Built afresh on every call; a rho sweep builds
+    one, at rho = 1/2, and a beta sweep none."""
+    _check_source(wedge, source)
+    if wedge.n_integer is not None:
+        return tuple(enumerate_analytic(wedge.n_integer, ion))
     return tuple(enumerate_images(wedge, ion))
 
 

@@ -19,15 +19,17 @@ from operator import add
 from .constants import DEFAULT_CONSTANTS, VERSION, PhysicalConstants
 from .errors import BelowThresholdError, GridError, ValidationError
 from .geometry import BETA_MIN, TWO_PI, IonPosition, WedgeGeometry, validate_beta
-from .orbits import _template
+from .orbits import _table
 from .records import Record
 from .spectrum import (
     Polarization,
     ReflectionModel,
     _backgrounds,
+    _check_source,
     _columns,
     _fold,
     _orbits,
+    _shift,
     _shifts,
     energy_conversion,
     orbit_catalog,
@@ -256,19 +258,12 @@ def position_sweep(
     ``ion``.  Beta sweeps must stay inside the guard band
     [BETA_MIN, alpha - BETA_MIN].
 
-    A rho sweep on any wedge, and a beta sweep on a pi/N wedge, build one
-    catalog per sweep, and ``_one_catalog_sums`` runs the kernel over every
-    point orbit by orbit: a rho sweep scales the lengths of its catalog at
-    rho = 1/2, which are the chords, by 2 rho; a beta sweep moves the odd-j
-    chords and turns the even-j polarization factors of its catalog at the
-    first beta.  A beta sweep on any other wedge builds the images at every
-    point, since the count of its odd images, at Delta = (i+1) alpha -
-    2 beta, can change along the sweep.  A beta sweep never reads
-    ``ion.beta``.  Rows equal per-point ``sigma_total`` bit for bit.  A
-    sweep in which a catalog or the kernel raises at some point replays its
-    points from their own catalogs and raises what sigma_total raises at
-    the first such point.  A sum that comes out nan or inf raises nothing
-    here: the Dataset names its first row, as in ``_energy_grid``.
+    On any wedge a rho sweep builds one catalog and a beta sweep none, and
+    never reads ``ion.beta``.  Rows equal per-point ``sigma_total`` bit for
+    bit.  A sweep in which a catalog or the kernel raises at some point
+    replays its points from their own catalogs and raises what sigma_total
+    raises at the first such point.  A sum that comes out nan or inf raises
+    nothing here: the Dataset names its first row, as in ``_energy_grid``.
     """
     _validate_grid(start, stop, steps)
     if variable not in POSITION_VARIABLES:
@@ -294,24 +289,16 @@ def position_sweep(
                  else IonPosition(ion.rho, value))
         return orbit_catalog(wedge, moved, orbit_source)
 
-    def sigma_osc_at(value: float) -> float:
-        """sigma_osc at one point from its own catalog, as sigma_total."""
-        orbits = _orbits(catalog_at(value), pol, refl)
-        return _fold(_columns(orbits, [prefactor], [k], [1.0]), 1)[0]
-
     grid = _linspace(start, stop, steps)
-    if variable == "beta" and wedge.n_integer is None:
-        sigma_osc = [sigma_osc_at(value) for value in grid]
-    else:
-        try:
-            sigma_osc = _one_catalog_sums(variable, grid, catalog_at, ion.rho,
-                                          pol, refl, prefactor, k)
-        except (ZeroDivisionError, ValidationError):
-            # Some point fails: replay point by point from catalogs, so that
-            # the first failing point raises what its sigma_total raises.
-            for value in grid:
-                sigma_osc_at(value)
-            raise AssertionError("a position sweep failed at none of its points")
+    try:
+        sigma_osc = _one_catalog_sums(variable, grid, catalog_at, wedge, ion.rho,
+                                      orbit_source, pol, refl, prefactor, k)
+    except (ZeroDivisionError, ValidationError):
+        # Some point fails: replay point by point from catalogs, so that
+        # the first failing point raises what its sigma_total raises.
+        for value in grid:
+            _columns(_orbits(catalog_at(value), pol, refl), [prefactor], [k], [1.0])
+        raise AssertionError("a position sweep failed at none of its points")
     meta = _base_meta(
         "position_sweep", wedge, consts,
         variable=variable,
@@ -328,45 +315,48 @@ def position_sweep(
     )
 
 
-def _one_catalog_sums(variable, values, catalog_at, rho, pol, refl, prefactor, k):
-    """sigma_osc at every value of a rho sweep, or of a beta sweep on a
-    pi/N wedge, from one catalog, orbit by orbit.
+def _one_catalog_sums(variable, values, catalog_at, wedge, rho, source, pol,
+                      refl, prefactor, k):
+    """sigma_osc at every value of a sweep, orbit by orbit.
 
     A rho sweep takes the catalog at rho = 1/2, where every length is its
-    chord bit for bit (2.0 * 0.5 is 1.0), and scales it by 2 rho; no angle
-    of a catalog depends on rho.  A beta sweep takes the catalog at its
-    first beta.  Its odd-j orbits keep their factors and take their chords
-    |sin(phi_out - beta)|, with 2 rho as the scale's partner: the product
-    is commutative, so L is the catalog's 2 rho chord.  Its even-j orbits
-    keep their lengths and phases and turn their factors by beta from the
-    angles less beta of ``_template(N)``, as ``enumerate_analytic`` does,
-    in _columns' term order."""
+    chord bit for bit (2.0 * 0.5 is 1.0), and scales it by 2 rho.  A beta
+    sweep runs over the rows of ``_table(wedge)`` as ``_evaluate`` does.
+    An odd row keeps its factors and scales 2 rho by |sin(base - beta)|;
+    where it is not in the catalog its term reads 0.0, which a fold from
+    0.0 cannot tell from none, and a row in no catalog of the grid takes no
+    m Delta, which could be refused.  An even row keeps its length and
+    phase and turns its factors by beta, with % for wrap_angle: in the
+    guard band no angle plus beta is a negative that rounds to 2 pi."""
     width = len(values)
     prefactors, ks = [prefactor] * width, [k] * width
     if variable == "rho":
         return _fold(_columns(_orbits(catalog_at(0.5), pol, refl), prefactors,
                               ks, [2.0 * value for value in values]), width)
-    catalog = catalog_at(values[0])
-    orbits = _orbits(catalog, pol, refl)
-    sin, cos = math.sin, math.cos
-    scale = 2.0 * rho
-    columns = [None] * len(orbits)
-    columns[0::2] = [
-        _columns([(f_out, f_ret, scale, shift)], prefactors, ks,
-                 [abs(sin(orbit.phi_out - value)) for value in values])[0]
-        for (f_out, f_ret, _, shift), orbit in zip(orbits[0::2], catalog[0::2])
-    ]
-    n = (len(catalog) + 1) // 2  # the catalog holds 2N - 1 orbits
-    even = [(out, ret, phase_sin(k, length, shift), length)
-            for (_, out, ret, _), (_, _, length, shift)
-            in zip(_template(n)[1::2], orbits[1::2])]
-    sin_theta, phi_l = sin(pol.theta_L), pol.phi_L
-    columns[1::2] = [
-        [prefactor * (sin_theta * cos(out + value - phi_l))
-         * (sin_theta * cos((ret + value) % TWO_PI - phi_l)) * phase / length
-         for value in values]
-        for out, ret, phase, length in even
-    ]
+    _check_source(wedge, source)
+    sin, cos, half_pi = math.sin, math.cos, math.pi / 2
+    sin_theta, phi_l, scale = sin(pol.theta_L), pol.phi_L, 2.0 * rho
+    columns = []
+    for m, out, ret, chord, base, tested in _table(wedge):
+        if chord is not None:
+            length = scale * chord
+            phase = phase_sin(k, length, _shift(m, refl.delta))
+            columns.append([
+                prefactor * (sin_theta * cos((out + value) % TWO_PI - phi_l))
+                * (sin_theta * cos((ret + value) % TWO_PI - phi_l)) * phase / length
+                for value in values
+            ])
+            continue
+        inside = [v for v in values if abs(base - v) <= half_pi] if tested else values
+        if inside:
+            orbit = (sin_theta * cos(out - phi_l), sin_theta * cos(ret - phi_l), scale,
+                     _shift(m, refl.delta))
+            column = _columns([orbit], prefactors, ks,
+                              [abs(sin(base - value)) for value in inside])[0]
+            if len(inside) < width:
+                terms = iter(column)
+                column = [next(terms) if abs(base - v) <= half_pi else 0.0 for v in values]
+            columns.append(column)
     return _fold(columns, width)
 
 

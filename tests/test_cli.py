@@ -323,6 +323,17 @@ def test_numeric_source_runs_without_the_shooting_search_off_pi_over_n(
     assert out and err == ""
 
 
+def test_beta_sweep_takes_m_delta_only_for_orbits_it_meets(capsys):
+    # Just below pi/4 the two m = 5 images are in no catalog of the guard
+    # band, and 5 Delta >= 2**32 > 4 Delta: taking their m Delta would
+    # refuse a sweep whose every point runs.
+    argv = ["sweep-beta", "--alpha", "0.78532", "--orbit-source", "numeric",
+            "--steps", "16", "--delta", "954437176.8888888"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) > 16 and err == ""
+
+
 def _outcome(argv, capsys):
     """(exit status, stdout, stderr) of one in-process run."""
     capsys.readouterr()
@@ -393,12 +404,27 @@ def test_unknown_flag_exit_2(capsys):
     # orbits without notice.
     for argv in (["orbits", "--frequency", "12"],
                  ["orbits", "--orbit-source", "numeric", "--max-reflections", "2"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert "usage" in captured.err
-        assert captured.out == ""
+        status, out, err = _outcome(argv, capsys)
+        assert (status, out) == (2, "")
+        assert err.startswith("error[invalid-input] ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--steps", "2.5"], "argument --steps: invalid int value: '2.5'"),
+    (["spectrum", "--steps", "nan"], "argument --steps: invalid int value: 'nan'"),
+    (["spectrum", "--format", "xml"], "argument --format: invalid choice"),
+    (["spectrum", "--orbit-source", "x"], "argument --orbit-source: invalid choice"),
+    (["spectrum", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ([], "the following arguments are required: command"),
+], ids=["steps-float", "steps-nan", "format", "orbit-source", "bogus", "none"])
+def test_argparse_errors_give_one_error_line(argv, message, capsys):
+    """argparse's own errors end as every other invalid input does: exit 2,
+    nothing on stdout, and one error[invalid-input] line naming the program
+    and argparse's message, not a usage block."""
+    status, out, err = _outcome(argv, capsys)
+    assert (status, out) == (2, "")
+    assert err.startswith("error[invalid-input] wedge-cot") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_unwritable_output_exit_3(capsys):

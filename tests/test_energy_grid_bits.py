@@ -142,41 +142,56 @@ _alpha_betas = st.floats(2.0 * BETA_MIN, math.pi, exclude_min=True).flatmap(
     lambda alpha: st.tuples(st.just(alpha), st.floats(BETA_MIN, alpha - BETA_MIN),
                             st.floats(BETA_MIN, alpha - BETA_MIN)))
 _exponents = st.floats(-3.0, 12.0)
-_edge_args = dict(exps=(2.0, -3.0, 12.0), soft=False, theta=1.0, phi=0.3,
-                  steps=32)
+_edge_args = dict(exps=(2.0, -3.0, 12.0), refl=ReflectionModel.hard(), theta=1.0,
+                  phi=0.3, steps=32)
+# Just below pi/4, where odd images leave the catalog inside the guard band:
+# the two m = 5 rows are in no catalog of the band, and 5 Delta >= 2**32
+# while 4 Delta < 2**32, so a sweep must not take their m Delta.
+_BELOW_PI_4 = 0.78532
+_TRAP = ReflectionModel(954437176.8888888)
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=st.one_of(_band_betas, _alpha_betas),
-       exps=st.tuples(_exponents, _exponents, _exponents),
-       soft=st.booleans(), theta=st.floats(0.0, math.pi),
-       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-       steps=st.integers(2, 32))
-@example(case=(1, *_band(1)), **_edge_args)      # alpha = pi
-@example(case=(200, *_band(200)), **_edge_args)  # both guard-band edges
-@example(case=(7, *_band(7)), exps=(12.0, -3.0, 12.0), soft=True,  # k L > 2**32
-         theta=0.5 * math.pi, phi=0.0, steps=2)
-@example(case=(1.0, BETA_MIN, 1.0 - BETA_MIN), **_edge_args)
-@example(case=(2.9, 0.4, 2.5), exps=(12.0, -3.0, 12.0), soft=True,
-         theta=0.5 * math.pi, phi=0.0, steps=32)
-@example(case=(2.5e-3, 1.1e-3, 1.4e-3), **_edge_args)  # about 2,500 orbits
-def test_position_sweep_rows_are_per_point_sigma_total(case, exps, soft, theta,
-                                                       phi, steps):
-    """Every rho and beta row of a position sweep is per-point sigma_total
-    bit for bit, for N = 1..200 from the analytic source and for any
-    opening angle in the guard band from the numeric one (a rho sweep off
-    pi/N from one catalog too), with rho from 1e-3 to 1e12 bohr."""
-    spec, beta_a, beta_b = case
-    rho, *rhos = (10.0**e for e in exps)
-    assume(beta_a != beta_b and rhos[0] != rhos[1])
+def _wedge_source(spec):
+    """(wedge, orbit source, guard band) for N, or for an opening angle."""
     if isinstance(spec, int):
         wedge, source = WedgeGeometry.from_n(spec), "analytic"
     else:
         wedge, source = WedgeGeometry.from_alpha(spec), "numeric"
+    return wedge, source, (BETA_MIN, wedge.opening_angle - BETA_MIN)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(_band_betas, _alpha_betas),
+       exps=st.tuples(_exponents, _exponents, _exponents), refl=_walls,
+       theta=st.floats(0.0, math.pi),
+       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       steps=st.integers(2, 32))
+@example(case=(1, *_band(1)), **_edge_args)      # alpha = pi
+@example(case=(200, *_band(200)), **_edge_args)  # both guard-band edges
+@example(case=(7, *_band(7)), exps=(12.0, -3.0, 12.0),  # k L > 2**32
+         refl=ReflectionModel.soft(), theta=0.5 * math.pi, phi=0.0, steps=2)
+@example(case=(1.0, BETA_MIN, 1.0 - BETA_MIN), **_edge_args)
+@example(case=(2.9, 0.4, 2.5), exps=(12.0, -3.0, 12.0),
+         refl=ReflectionModel.soft(), theta=0.5 * math.pi, phi=0.0, steps=32)
+@example(case=(2.5e-3, 1.1e-3, 1.4e-3), **_edge_args)  # about 2,500 orbits
+@example(case=(_BELOW_PI_4, BETA_MIN, _BELOW_PI_4 - BETA_MIN),
+         exps=(math.log10(200.0), 1.0, 3.0), refl=_TRAP, theta=0.5 * math.pi,
+         phi=0.0, steps=16)
+@example(case=(math.pi / 3 * (1 - 1e-9), BETA_MIN, 1.0), exps=(2.0, 1.0, 3.0),
+         refl=ReflectionModel(-2.5), theta=1.1, phi=0.4, steps=32)
+def test_position_sweep_rows_are_per_point_sigma_total(case, exps, refl, theta,
+                                                       phi, steps):
+    """Every rho and beta row of a position sweep is per-point sigma_total
+    bit for bit, for N = 1..200 from the analytic source and for any
+    opening angle in the guard band from the numeric one, for any wall,
+    with rho from 1e-3 to 1e12 bohr."""
+    spec, beta_a, beta_b = case
+    rho, *rhos = (10.0**e for e in exps)
+    assume(beta_a != beta_b and rhos[0] != rhos[1])
+    wedge, source, _ = _wedge_source(spec)
     betas = sorted((beta_a, beta_b))
     ion = IonPosition(rho, betas[0])
     pol = Polarization(theta, phi)
-    refl = ReflectionModel.soft() if soft else ReflectionModel.hard()
     for variable, ends, at in (
         ("rho", sorted(rhos), lambda v: IonPosition(v, ion.beta)),
         ("beta", betas, lambda v: IonPosition(ion.rho, v)),
@@ -188,20 +203,26 @@ def test_position_sweep_rows_are_per_point_sigma_total(case, exps, soft, theta,
 
 
 @settings(max_examples=100, deadline=timedelta(seconds=10))
-@given(case=_band_betas, rho_exp=_exponents, refl=_walls, pol=_polarizations,
+@given(case=st.one_of(_band_betas, _alpha_betas), rho_exp=_exponents,
+       refl=_walls, pol=_polarizations,
        source=st.sampled_from(["analytic", "numeric"]), below=st.booleans(),
        offset=st.floats(1e-12, 10.0), steps=st.integers(2, 32))
 @example(case=(200, *_band(200)), rho_exp=12.0, refl=ReflectionModel.soft(),
          pol=Polarization.x(), source="analytic", below=True, offset=1e-12,
          steps=2)
+@example(case=(_BELOW_PI_4, BETA_MIN, _BELOW_PI_4 - BETA_MIN), rho_exp=2.0,
+         refl=_TRAP, pol=Polarization.y(), source="numeric", below=False,
+         offset=1e-12, steps=16)
 def test_beta_sweep_does_not_read_ion_beta(case, rho_exp, refl, pol, source,
                                            below, offset, steps):
     """The rows of a beta sweep are the same bits for two ions that differ
     only in beta, one of them outside the guard band: the swept beta stands
-    in for the ion's at every point, the first one included."""
-    n, beta_a, beta_b = case
+    in for the ion's at every point, the first one included.  Off pi/N the
+    source is the numeric one."""
+    spec, beta_a, beta_b = case
     assume(beta_a != beta_b)
-    wedge, (lo, hi) = WedgeGeometry.from_n(n), _band(n)
+    wedge, fixed, (lo, hi) = _wedge_source(spec)
+    source = source if wedge.n_integer else fixed
     rho = 10.0**rho_exp
     outside = lo - offset if below else hi + offset
     rows = [

@@ -50,6 +50,19 @@ GOLDEN = {
         "190e9ed0dcc9bca469e84f0804b8bab5ab6a9b31f2652891a053f5bb385b1d8e",
     "sweep-beta --alpha 1 --orbit-source numeric --steps 16 --format csv":
         "d8ac5fe3f2619661d38a24b1819189b4012bed1c2ff295cfd1100775d3b766e3",
+    "sweep-beta --alpha 1 --orbit-source numeric --steps 16 --format json":
+        "53c72976d3f98ee13e444f27f3923caad940a4314cee658729e00a745e9fdb32",
+    # Narrow wedges: about 300 and 3,000 images.
+    "orbits --alpha 0.02 --beta 0.01 --orbit-source numeric":
+        "19c84a15fc79fe2d35d2b35a3242b354165813c2b18fa25799b903381c25e4e3",
+    "sweep-beta --alpha 0.02 --orbit-source numeric --steps 64":
+        "22db2e633cb49e15a128b2170f4d190b66864b704844f9f486b34d577937f839",
+    "sweep-beta --alpha 0.0021 --orbit-source numeric --steps 8":
+        "dcd74c5c6189cea28473bbd425802ad080c5e8dece51153dd70a82a210c15bd1",
+    # Just below pi/4, where odd images leave the catalog inside the band.
+    "sweep-beta --alpha 0.78532 --orbit-source numeric --steps 64 --delta soft "
+    "--pol 1.1,0.4":
+        "1d44acf30f4f6987a70e5f9aa16f417d01c293b6df7cf73d85208d4528e2472f",
 }
 
 

@@ -372,36 +372,43 @@ def test_beta_sweep_names_a_failing_even_orbit_as_its_first_point_does(wedge5,
                        far, x, hard)
 
 
-def test_position_sweep_builds_one_catalog_but_off_pi_over_n_in_beta(
+def test_position_sweep_builds_one_catalog_in_rho_and_none_in_beta(
         monkeypatch, ion_ref, hard):
-    """A rho sweep on any wedge, and a beta sweep on a pi/N wedge, build one
-    catalog; a beta sweep off pi/N builds the images at every point.  The
-    rows cannot tell: a catalog at every point gives the same bits."""
+    """On any wedge, a rho sweep builds one catalog, and a beta sweep builds
+    no catalog and the wedge's image table once.  The rows cannot tell: a
+    catalog at every point gives the same bits."""
+    import wedge_cot.orbits
     import wedge_cot.sweeps
 
-    built = []
+    built, tables = [], []
 
     def counted(*args, **kwargs):
         built.append(args)
         return orbit_catalog(*args, **kwargs)
 
+    def counted_table(wedge):
+        tables.append(wedge)
+        return table(wedge)
+
+    table = wedge_cot.orbits._table
     monkeypatch.setattr(wedge_cot.sweeps, "orbit_catalog", counted)
+    monkeypatch.setattr(wedge_cot.sweeps, "_table", counted_table)
     x = Polarization.x()
-    wedge = WedgeGeometry.from_n(5)
-    band = (BETA_MIN, wedge.opening_angle - BETA_MIN)
-    for source in ("analytic", "numeric"):
-        for variable, ends in (("rho", (50.0, 800.0)), ("beta", band)):
-            built.clear()
-            position_sweep(variable, *ends, 64, 1.0, wedge, ion_ref, x, hard,
-                           source)
-            assert len(built) == 1
-    wide = WedgeGeometry.from_alpha(2.0)
-    for variable, ends, builds in (("rho", (50.0, 800.0), 1),
-                                   ("beta", (0.5, 1.0), 3)):
-        built.clear()
-        position_sweep(variable, *ends, 3, 1.0, wide, IonPosition(200.0, 0.7),
-                       x, hard, "numeric")
-        assert len(built) == builds
+    for wedge, sources, ion in (
+        (WedgeGeometry.from_n(5), ("analytic", "numeric"), ion_ref),
+        (WedgeGeometry.from_alpha(2.0), ("numeric",), IonPosition(200.0, 0.7)),
+        (WedgeGeometry.from_alpha(0.78532), ("numeric",), IonPosition(200.0, 0.3)),
+    ):
+        band = (BETA_MIN, wedge.opening_angle - BETA_MIN)
+        for source in sources:
+            for variable, ends, builds in (("rho", (50.0, 800.0), 1),
+                                           ("beta", band, 0)):
+                built.clear()
+                tables.clear()
+                position_sweep(variable, *ends, 16, 1.0, wedge, ion, x, hard,
+                               source)
+                assert len(built) == builds
+                assert tables == ([wedge] if variable == "beta" else [])
 
 
 # -------------------------------------------------------- polarization map
