@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import takewhile
 
 from .constants import DEFAULT_CONSTANTS, VERSION, PhysicalConstants
 from .errors import NumericError, OutputError, ValidationError, WedgeCotError
@@ -415,10 +416,24 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argparse's namespace for argv, naming the flags before the subcommand
+    where the top level fails: argparse reports the missing subcommand
+    instead (``--bogus``), or takes a flag's value for it (``--bogus 1``)."""
+    try:
+        return build_parser().parse_args(argv)
+    except ValidationError:
+        head = list(takewhile(lambda arg: arg not in _COMMANDS, argv))
+        if not any(arg.startswith("-") for arg in head):
+            raise
+        raise ValidationError(
+            f"wedge-cot: unrecognized arguments: {' '.join(head)}") from None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_join_negative_values(argv))
+        args = _parse(_join_negative_values(argv))
         try:
             status = args.func(args)
             sys.stdout.flush()  # a reader that has closed fails here

@@ -17,18 +17,15 @@ Energies are in hartree internally; photon energies enter in eV.  Cross
 sections are in bohr^2.
 
 Every orbit sum has the same bits, whichever function evaluates it:
-sigma_total, an energy grid, a position sweep or a polarization map.  One
-kernel writes the term: ``_orbits`` pairs each orbit's (f_out, f_ret, L,
-m Delta), with m Delta from ``_shift``, ``_columns`` gives the terms
-prefactor * f_out * f_ret * sin(k L - m Delta) / L of each orbit over all
-points, in catalog order, where L is the orbit's length times the point's
-scale, and ``_fold`` adds them by the left fold ((0.0 + t_1) + t_2) + ...
-at each point.  The phases are phase_sin's.  sigma_total and energy grids
-take scale 1.0; a rho sweep takes the catalog at rho = 1/2, whose
-lengths are the chords, and scale 2 rho.  Only the polarization map, whose
-cells each fold one point with +=, and a beta sweep's even orbits, whose
-phases do not move, form their terms outside ``_columns``, from phase_sin's
-phases in the same order.
+sigma_total, an energy grid, a position sweep or a polarization map.
+``_orbits`` pairs each orbit's (f_out, f_ret, L, m Delta), with m Delta
+from ``_shift``; a term is prefactor * f_out * f_ret * sin(k L - m Delta) / L
+with phase_sin's phase, and each point's sum is the left fold
+((0.0 + t_1) + t_2) + ... in catalog order.  sigma_total and energy grids
+take ``_columns`` of terms over their points and ``_fold`` them.  A
+position sweep, whose prefactor and k are fixed, forms prefactor * f_out *
+f_ret once per orbit and adds each term as it forms it; a polarization map
+folds each cell with +=.
 """
 
 from __future__ import annotations
@@ -220,9 +217,9 @@ def phase_sin(k: float, length: float, shift: float) -> float:
 
     Dekker's split overflows for factors above about 1.3e300, so the
     reduction fails for such a k, length or k*length/(2 pi); that raises
-    ValidationError rather than returning nan.  _columns inlines the
-    first branch, sin(k*length - shift) when k*length < 2**32, deciding it
-    once per orbit for all its points.
+    ValidationError rather than returning nan.  _columns and position
+    sweeps inline the first branch, sin(k*length - shift) when k*length <
+    2**32, deciding it once per orbit for all its points.
     """
     product = k * length
     if product < _REDUCE_THRESHOLD:
@@ -251,7 +248,7 @@ def orbit_term(
     if not (k > 0.0):
         raise ValidationError(f"k must be positive, got {k!r}")
     prefactor = 3.0 * sigma_background(0.5 * k * k, consts) / k
-    ((term,),) = _columns(_orbits((orbit,), pol, refl), [prefactor], [k], [1.0])
+    ((term,),) = _columns(_orbits((orbit,), pol, refl), [prefactor], [k])
     return term
 
 
@@ -292,41 +289,32 @@ def _shifts(catalog: tuple[ClosedOrbit, ...], delta: float) -> list[float]:
     return [_shift(orbit.m, delta) for orbit in catalog]
 
 
-def _columns(
-    orbits: list[tuple[float, float, float, float]],
-    prefactors: list[float],
-    ks: list[float],
-    scales: list[float],
-) -> list[list[float]]:
+def _columns(orbits: list[tuple[float, float, float, float]], prefactors: list[float],
+             ks: list[float]) -> list[list[float]]:
     """One column of terms per orbit, in catalog order, over the points
-    (prefactor, k, scale): prefactor * f_out * f_ret * sin(k L - m Delta) / L
-    with L = scale * chord, the orbit's third entry.  A fixed length takes
-    scale 1.0, and 1.0 * L is exact.
+    (prefactor, k): prefactor * f_out * f_ret * sin(k L - m Delta) / L with
+    L the orbit's third entry, the same at every point.
 
     The phase is phase_sin's.  A column inlines its first branch when
-    k_max * (s_max * chord) < 2**32; rounded products are monotone, so then
-    k L < 2**32 at every point.  Any other column calls phase_sin term by
-    term.  A length of 0 raises ZeroDivisionError, and one of inf raises
+    k_max * L < 2**32; rounded products are monotone, so then k L < 2**32
+    at every point.  Any other column calls phase_sin term by term.  A
+    length of 0 raises ZeroDivisionError, and one of inf raises
     phase_sin's ValidationError."""
-    points = list(zip(prefactors, ks, scales))
-    k_max, s_max, sin = max(ks), max(scales), math.sin
+    points, k_max, sin = list(zip(prefactors, ks)), max(ks), math.sin
     return [
-        [p * f_out * f_ret * sin(k * (length := s * chord) - shift) / length
-         for p, k, s in points]
-        if k_max * (s_max * chord) < _REDUCE_THRESHOLD else
-        [p * f_out * f_ret * phase_sin(k, length := s * chord, shift) / length
-         for p, k, s in points]
-        for f_out, f_ret, chord, shift in orbits
+        [p * f_out * f_ret * sin(k * length - shift) / length for p, k in points]
+        if k_max * length < _REDUCE_THRESHOLD else
+        [p * f_out * f_ret * phase_sin(k, length, shift) / length for p, k in points]
+        for f_out, f_ret, length, shift in orbits
     ]
 
 
 def _fold(columns: list[list[float]], width: int) -> list[float]:
     """The orbit sum at each of width points: the left fold
     ((0.0 + t_1) + t_2) + ... of the columns, one C-level map(add) per
-    orbit.
-    Never sum(): from CPython 3.12 it compensates float sums (Neumaier), so
-    the last bits, and the output bytes, would depend on the Python
-    version."""
+    orbit.  Never sum(): from CPython 3.12 it compensates float sums
+    (Neumaier), so the last bits, and the output bytes, would depend on
+    the Python version."""
     sums = [0.0] * width
     for column in columns:
         sums = list(map(add, sums, column))
@@ -378,9 +366,8 @@ def sigma_total(
     energy, k = energy_conversion(e_photon_ev, consts)
     sigma0 = sigma_background(energy, consts)
     catalog = orbit_catalog(wedge, ion, orbit_source)
-    (sigma_osc,) = _fold(
-        _columns(_orbits(catalog, pol, refl), [3.0 * sigma0 / k], [k], [1.0]), 1
-    )
+    columns = _columns(_orbits(catalog, pol, refl), [3.0 * sigma0 / k], [k])
+    (sigma_osc,) = _fold(columns, 1)
     return SpectrumPoint.build(e_photon_ev, energy, k, sigma0, sigma_osc)
 
 

@@ -12,6 +12,7 @@ numpy when it is called.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from itertools import chain
 from operator import add
@@ -24,6 +25,7 @@ from .records import Record
 from .spectrum import (
     Polarization,
     ReflectionModel,
+    _REDUCE_THRESHOLD,
     _backgrounds,
     _check_source,
     _columns,
@@ -172,7 +174,7 @@ def _energy_grid(
             sigma0s = _backgrounds(energies, consts)
             ks = [math.sqrt(2.0 * energy) for energy in energies]
             prefactors = [3.0 * sigma0 / k for sigma0, k in zip(sigma0s, ks)]
-            columns = _columns(orbits, prefactors, ks, [1.0] * steps)
+            columns = _columns(orbits, prefactors, ks)
             sigma_osc = _fold(columns, steps)
             return catalog, grid, sigma0s, sigma_osc, columns, tuple(meta)
     except (OverflowError, ZeroDivisionError, ValidationError):
@@ -182,7 +184,7 @@ def _energy_grid(
     for e_ph in grid:
         energy, k = energy_conversion(e_ph, consts)
         sigma0 = sigma_background(energy, consts)
-        _columns(orbits, [3.0 * sigma0 / k], [k], [1.0])
+        _columns(orbits, [3.0 * sigma0 / k], [k])
     raise AssertionError("an energy grid failed at none of its points")
 
 
@@ -259,11 +261,12 @@ def position_sweep(
     [BETA_MIN, alpha - BETA_MIN].
 
     On any wedge a rho sweep builds one catalog and a beta sweep none, and
-    never reads ``ion.beta``.  Rows equal per-point ``sigma_total`` bit for
-    bit.  A sweep in which a catalog or the kernel raises at some point
-    replays its points from their own catalogs and raises what sigma_total
-    raises at the first such point.  A sum that comes out nan or inf raises
-    nothing here: the Dataset names its first row, as in ``_energy_grid``.
+    never reads ``ion.beta``; both add each orbit's terms to the sums as
+    they form them.  Rows equal per-point ``sigma_total`` bit for bit.  A
+    sweep in which a catalog or the kernel raises at some point replays its
+    points from their own catalogs and raises what sigma_total raises at
+    the first such point.  A sum that comes out nan or inf raises nothing
+    here: the Dataset names its first row, as in ``_energy_grid``.
     """
     _validate_grid(start, stop, steps)
     if variable not in POSITION_VARIABLES:
@@ -297,7 +300,7 @@ def position_sweep(
         # Some point fails: replay point by point from catalogs, so that
         # the first failing point raises what its sigma_total raises.
         for value in grid:
-            _columns(_orbits(catalog_at(value), pol, refl), [prefactor], [k], [1.0])
+            _columns(_orbits(catalog_at(value), pol, refl), [prefactor], [k])
         raise AssertionError("a position sweep failed at none of its points")
     meta = _base_meta(
         "position_sweep", wedge, consts,
@@ -317,47 +320,62 @@ def position_sweep(
 
 def _one_catalog_sums(variable, values, catalog_at, wedge, rho, source, pol,
                       refl, prefactor, k):
-    """sigma_osc at every value of a sweep, orbit by orbit.
+    """sigma_osc at every value of a sweep.  Its prefactor and k are fixed,
+    so each orbit forms c = prefactor * f_out * f_ret once, the product the
+    kernel forms left to right, and adds c * sin(k L - m Delta) / L to each
+    sum as it goes, in catalog order: ``_fold`` of ``_columns``, bit for bit.
 
-    A rho sweep takes the catalog at rho = 1/2, where every length is its
-    chord bit for bit (2.0 * 0.5 is 1.0), and scales it by 2 rho.  A beta
-    sweep runs over the rows of ``_table(wedge)`` as ``_evaluate`` does.
-    An odd row keeps its factors and scales 2 rho by |sin(base - beta)|;
-    where it is not in the catalog its term reads 0.0, which a fold from
-    0.0 cannot tell from none, and a row in no catalog of the grid takes no
-    m Delta, which could be refused.  An even row keeps its length and
-    phase and turns its factors by beta, with % for wrap_angle: in the
-    guard band no angle plus beta is a negative that rounds to 2 pi."""
-    width = len(values)
-    prefactors, ks = [prefactor] * width, [k] * width
+    A rho sweep takes the catalog at rho = 1/2, whose lengths are the chords
+    bit for bit (2.0 * 0.5 is 1.0), and L = 2 rho * chord.  A beta sweep
+    runs over ``_table(wedge)`` as ``_evaluate`` does.  An odd row takes
+    L = |sin(base - beta)| * 2 rho on its ``_odd_run`` and leaves the other
+    sums as they are, as adding 0.0 would: a fold from +0.0 never holds
+    -0.0 (x + y is -0.0 only when both are).  A row in no catalog of the
+    grid takes no m Delta, which could be refused.  An even row keeps its
+    length and phase and turns its factors by beta, with % for wrap_angle:
+    in the guard band no angle plus beta is a negative that rounds to 2 pi.
+    Phases as in ``_columns``; |sin| <= 1 bounds an odd row's k L."""
+    sin, sums = math.sin, [0.0] * len(values)
     if variable == "rho":
-        return _fold(_columns(_orbits(catalog_at(0.5), pol, refl), prefactors,
-                              ks, [2.0 * value for value in values]), width)
+        scales, s_max = [2.0 * value for value in values], 2.0 * max(values)
+        for f_out, f_ret, chord, shift in _orbits(catalog_at(0.5), pol, refl):
+            c = prefactor * f_out * f_ret
+            sums = ([acc + c * sin(k * (length := s * chord) - shift) / length
+                     for acc, s in zip(sums, scales)]
+                    if k * (s_max * chord) < _REDUCE_THRESHOLD else
+                    [acc + c * phase_sin(k, length := s * chord, shift) / length
+                     for acc, s in zip(sums, scales)])
+        return sums
     _check_source(wedge, source)
-    sin, cos, half_pi = math.sin, math.cos, math.pi / 2
-    sin_theta, phi_l, scale = sin(pol.theta_L), pol.phi_L, 2.0 * rho
-    columns = []
+    cos, sin_theta, phi_l, scale = math.cos, sin(pol.theta_L), pol.phi_L, 2.0 * rho
+    inline = k * scale < _REDUCE_THRESHOLD
     for m, out, ret, chord, base, tested in _table(wedge):
         if chord is not None:
-            length = scale * chord
-            phase = phase_sin(k, length, _shift(m, refl.delta))
-            columns.append([
-                prefactor * (sin_theta * cos((out + value) % TWO_PI - phi_l))
-                * (sin_theta * cos((ret + value) % TWO_PI - phi_l)) * phase / length
-                for value in values
-            ])
+            phase = phase_sin(k, length := scale * chord, _shift(m, refl.delta))
+            sums = [acc + prefactor * (sin_theta * cos((out + value) % TWO_PI - phi_l))
+                    * (sin_theta * cos((ret + value) % TWO_PI - phi_l)) * phase / length
+                    for acc, value in zip(sums, values)]
             continue
-        inside = [v for v in values if abs(base - v) <= half_pi] if tested else values
-        if inside:
-            orbit = (sin_theta * cos(out - phi_l), sin_theta * cos(ret - phi_l), scale,
-                     _shift(m, refl.delta))
-            column = _columns([orbit], prefactors, ks,
-                              [abs(sin(base - value)) for value in inside])[0]
-            if len(inside) < width:
-                terms = iter(column)
-                column = [next(terms) if abs(base - v) <= half_pi else 0.0 for v in values]
-            columns.append(column)
-    return _fold(columns, width)
+        lo, hi = _odd_run(values, base) if tested else (0, len(values))
+        if lo == hi:
+            continue
+        c = prefactor * (sin_theta * cos(out - phi_l)) * (sin_theta * cos(ret - phi_l))
+        shift, run = _shift(m, refl.delta), zip(sums[lo:hi], values[lo:hi])
+        sums[lo:hi] = (
+            [acc + c * sin(k * (length := abs(sin(base - v)) * scale) - shift) / length
+             for acc, v in run] if inline else
+            [acc + c * phase_sin(k, length := abs(sin(base - v)) * scale, shift) / length
+             for acc, v in run])
+    return sums
+
+
+def _odd_run(values: list[float], base: float) -> tuple[int, int]:
+    """The slice lo:hi of an ascending grid of betas at which an odd row is
+    in the catalog, |base - beta| <= pi/2.  fl(base - beta) falls as beta
+    rises, so those points are one run, and two bisections find it."""
+    half_pi = math.pi / 2
+    lo = bisect_left(values, True, key=lambda v: base - v <= half_pi)
+    return lo, bisect_left(values, True, lo, key=lambda v: base - v < -half_pi)
 
 
 def polarization_map(

@@ -416,7 +416,12 @@ def test_unknown_flag_exit_2(capsys):
     (["spectrum", "--orbit-source", "x"], "argument --orbit-source: invalid choice"),
     (["spectrum", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     ([], "the following arguments are required: command"),
-], ids=["steps-float", "steps-nan", "format", "orbit-source", "bogus", "none"])
+    # Before the subcommand argparse would report the missing subcommand,
+    # or take the flag's value for it.
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--bogus", "1", "spectrum"], "unrecognized arguments: --bogus 1"),
+], ids=["steps-float", "steps-nan", "format", "orbit-source", "bogus", "none",
+        "bogus-first", "bogus-value-first"])
 def test_argparse_errors_give_one_error_line(argv, message, capsys):
     """argparse's own errors end as every other invalid input does: exit 2,
     nothing on stdout, and one error[invalid-input] line naming the program
@@ -544,6 +549,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == f"wedge-cot {VERSION}"
+
+
+def test_top_level_help_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "sweep-beta" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------ file formats

@@ -24,7 +24,8 @@ from wedge_cot.spectrum import (
     sigma_background,
     sigma_total,
 )
-from wedge_cot.sweeps import energy_sweep, orbit_decomposition, position_sweep
+from wedge_cot.orbits import _table
+from wedge_cot.sweeps import _odd_run, energy_sweep, orbit_decomposition, position_sweep
 
 
 def _bits(values):
@@ -179,6 +180,14 @@ def _wedge_source(spec):
          phi=0.0, steps=16)
 @example(case=(math.pi / 3 * (1 - 1e-9), BETA_MIN, 1.0), exps=(2.0, 1.0, 3.0),
          refl=ReflectionModel(-2.5), theta=1.1, phi=0.4, steps=32)
+# rho from 1e9 to 1e11: k L crosses 2**32 inside the grid for 8 of the 9
+# orbits, so their whole columns take phase_sin.
+@example(case=(5, 0.1, 0.5), exps=(2.0, 9.0, 11.0), refl=ReflectionModel.soft(),
+         theta=0.5 * math.pi, phi=0.0, steps=32)
+# alpha = 2: of the two odd rows, i = 1 enters the catalog inside the grid
+# and i = -1 leaves it inside.
+@example(case=(2.0, 0.3, 1.9), exps=(2.0, 1.0, 3.0), refl=ReflectionModel(-2.5),
+         theta=1.1, phi=0.4, steps=32)
 def test_position_sweep_rows_are_per_point_sigma_total(case, exps, refl, theta,
                                                        phi, steps):
     """Every rho and beta row of a position sweep is per-point sigma_total
@@ -231,3 +240,38 @@ def test_beta_sweep_does_not_read_ion_beta(case, rho_exp, refl, pol, source,
         for beta in (beta_a, outside)
     ]
     assert [_bits(row) for row in rows[0]] == [_bits(row) for row in rows[1]]
+
+
+def _at_distance(base, distance):
+    """A beta a few ulps from base - distance with fl(base - beta) exactly
+    distance, or None where no such beta is that close."""
+    beta = base - distance
+    for toward in (math.inf, -math.inf):
+        near = beta
+        for _ in range(4):
+            if base - near == distance:
+                return near
+            near = math.nextafter(near, toward)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=st.one_of(st.integers(1, 40), st.floats(0.01, math.pi)),
+       grid=st.lists(st.floats(0.0, math.pi), max_size=40))
+@example(spec=2.0, grid=[0.3, 1.0, 1.9])  # every bound has its point at pi/2
+def test_odd_run_is_the_per_point_filter(spec, grid):
+    """The run _odd_run bisects out of an ascending grid holds exactly the
+    points with |base - beta| <= pi/2, for every odd row of the table, on a
+    grid that also holds the betas at exactly pi/2 on either side of base,
+    where an off-by-one in either bound shows."""
+    wedge = (WedgeGeometry.from_n(spec) if isinstance(spec, int)
+             else WedgeGeometry.from_alpha(spec))
+    half_pi = math.pi / 2
+    for _, _, _, chord, base, _ in _table(wedge):
+        if chord is not None:
+            continue
+        edges = [_at_distance(base, half_pi), _at_distance(base, -half_pi)]
+        values = sorted(grid + [edge for edge in edges if edge is not None])
+        lo, hi = _odd_run(values, base)
+        assert [lo <= i < hi for i in range(len(values))] == [
+            abs(base - v) <= half_pi for v in values]
